@@ -254,6 +254,10 @@ type SweepPoint struct {
 // every k in [kMin, kMax], scoring each clustering with all four
 // validity indices under the shape-based distance. The paper sweeps
 // k = 2..19 and finds no winner: quality degrades monotonically.
+//
+// The series are transformed once for the whole sweep, and their
+// k-independent pairwise distances computed once; each clustering adds
+// only its centroids' spectra.
 func (a *Analyzer) ClusterSweep(dir services.Direction, kMin, kMax int, seed uint64) ([]SweepPoint, error) {
 	n := len(a.DS.Services())
 	if kMin < 2 {
@@ -263,14 +267,18 @@ func (a *Analyzer) ClusterSweep(dir services.Direction, kMin, kMax int, seed uin
 		return nil, fmt.Errorf("core: sweep kMax %d >= %d services", kMax, n)
 	}
 	series := a.zNormalized(dir)
+	set, err := kshape.NewSet(series)
+	if err != nil {
+		return nil, fmt.Errorf("core: k-shape: %w", err)
+	}
 	var out []SweepPoint
 	for k := kMin; k <= kMax; k++ {
-		res, err := kshape.Cluster(series, k, kshape.Options{Seed: seed, ZNormalize: false})
+		res, err := set.Cluster(k, kshape.Options{Seed: seed})
 		if err != nil {
 			return nil, fmt.Errorf("core: k-shape k=%d: %w", k, err)
 		}
 		c := cvi.Clustering{Points: series, Assign: res.Assign, Centroids: res.Centroids, K: k}
-		out = append(out, SweepPoint{K: k, Scores: cvi.AllScores(c, kshape.SBDDist)})
+		out = append(out, SweepPoint{K: k, Scores: cvi.AllScoresWith(c, set.Distances(res))})
 	}
 	return out, nil
 }

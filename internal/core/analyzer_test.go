@@ -202,11 +202,7 @@ func TestDetectOn(t *testing.T) {
 }
 
 func TestClusterSweepShape(t *testing.T) {
-	a := core.New(dataset(t))
-	sweep, err := a.ClusterSweep(services.DL, 2, 19, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sweep := sweeps(t)[services.DL]
 	if len(sweep) != 18 {
 		t.Fatalf("sweep has %d points", len(sweep))
 	}

@@ -6,7 +6,8 @@
 //
 // All indices are parameterized by an arbitrary distance function so
 // they can score both k-Shape (shape-based distance) and the Euclidean
-// k-means baseline.
+// k-means baseline. A caller that can answer distances more cheaply by
+// index — cached or precomputed — passes a Distances instead.
 package cvi
 
 import (
@@ -17,6 +18,29 @@ import (
 
 // DistFunc measures dissimilarity between two equal-length vectors.
 type DistFunc func(a, b []float64) float64
+
+// Distances answers the three kinds of distance the indices read, by
+// index into one Clustering: point to point, point to centroid and
+// centroid to centroid. Arguments keep the order of the DistFunc call
+// they replace — Point(i, j) stands for d(Points[i], Points[j]) — since
+// a distance need not be exactly symmetric in floating point.
+type Distances interface {
+	Point(i, j int) float64
+	PointCentroid(i, c int) float64
+	Centroid(a, b int) float64
+}
+
+// funcDistances evaluates a DistFunc on demand.
+type funcDistances struct {
+	c Clustering
+	d DistFunc
+}
+
+func (f funcDistances) Point(i, j int) float64 { return f.d(f.c.Points[i], f.c.Points[j]) }
+func (f funcDistances) PointCentroid(i, c int) float64 {
+	return f.d(f.c.Points[i], f.c.Centroids[c])
+}
+func (f funcDistances) Centroid(a, b int) float64 { return f.d(f.c.Centroids[a], f.c.Centroids[b]) }
 
 // Clustering bundles the inputs every index needs: the points, their
 // cluster assignment in [0, K), and (for the Davies-Bouldin family)
@@ -61,11 +85,11 @@ func (c Clustering) Validate(needCentroids bool) error {
 
 // scatter returns S_i: the average distance from members of cluster i
 // to its centroid.
-func (c Clustering) scatter(d DistFunc) []float64 {
+func (c Clustering) scatter(d Distances) []float64 {
 	s := make([]float64, c.K)
 	n := make([]int, c.K)
 	for i, a := range c.Assign {
-		s[a] += d(c.Points[i], c.Centroids[a])
+		s[a] += d.PointCentroid(i, a)
 		n[a]++
 	}
 	for i := range s {
@@ -83,6 +107,10 @@ func (c Clustering) scatter(d DistFunc) []float64 {
 // Lower is better. It returns an error for degenerate clusterings
 // (coincident centroids make the ratio unbounded).
 func DaviesBouldin(c Clustering, d DistFunc) (float64, error) {
+	return daviesBouldin(c, funcDistances{c, d})
+}
+
+func daviesBouldin(c Clustering, d Distances) (float64, error) {
 	if err := c.Validate(true); err != nil {
 		return 0, err
 	}
@@ -94,7 +122,7 @@ func DaviesBouldin(c Clustering, d DistFunc) (float64, error) {
 			if i == j {
 				continue
 			}
-			m := d(c.Centroids[i], c.Centroids[j])
+			m := d.Centroid(i, j)
 			if m == 0 {
 				return 0, errors.New("cvi: coincident centroids")
 			}
@@ -114,6 +142,10 @@ func DaviesBouldin(c Clustering, d DistFunc) (float64, error) {
 //
 // Lower is better; DB* >= DB always.
 func DaviesBouldinStar(c Clustering, d DistFunc) (float64, error) {
+	return daviesBouldinStar(c, funcDistances{c, d})
+}
+
+func daviesBouldinStar(c Clustering, d Distances) (float64, error) {
 	if err := c.Validate(true); err != nil {
 		return 0, err
 	}
@@ -129,7 +161,7 @@ func DaviesBouldinStar(c Clustering, d DistFunc) (float64, error) {
 			if n := s[i] + s[j]; n > maxNum {
 				maxNum = n
 			}
-			if m := d(c.Centroids[i], c.Centroids[j]); m < minDen {
+			if m := d.Centroid(i, j); m < minDen {
 				minDen = m
 			}
 		}
@@ -146,6 +178,10 @@ func DaviesBouldinStar(c Clustering, d DistFunc) (float64, error) {
 // diameter (complete linkage within members). Higher is better.
 // Singleton-only diameters of zero across all clusters yield an error.
 func Dunn(c Clustering, d DistFunc) (float64, error) {
+	return dunn(c, funcDistances{c, d})
+}
+
+func dunn(c Clustering, d Distances) (float64, error) {
 	if err := c.Validate(false); err != nil {
 		return 0, err
 	}
@@ -154,7 +190,7 @@ func Dunn(c Clustering, d DistFunc) (float64, error) {
 	n := len(c.Points)
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			dist := d(c.Points[i], c.Points[j])
+			dist := d.Point(i, j)
 			if c.Assign[i] == c.Assign[j] {
 				if dist > maxDiam {
 					maxDiam = dist
@@ -176,6 +212,11 @@ func Dunn(c Clustering, d DistFunc) (float64, error) {
 // cluster. The value lies in [-1, 1]; higher is better. Points in
 // singleton clusters contribute 0, the standard convention.
 func Silhouette(c Clustering, d DistFunc) (float64, error) {
+	return SilhouetteWith(c, funcDistances{c, d})
+}
+
+// SilhouetteWith is Silhouette reading its distances from d.
+func SilhouetteWith(c Clustering, d Distances) (float64, error) {
 	if err := c.Validate(false); err != nil {
 		return 0, err
 	}
@@ -195,7 +236,7 @@ func Silhouette(c Clustering, d DistFunc) (float64, error) {
 			if i == j {
 				continue
 			}
-			sums[c.Assign[j]] += d(c.Points[i], c.Points[j])
+			sums[c.Assign[j]] += d.Point(i, j)
 		}
 		a := sums[own] / float64(counts[own]-1)
 		b := math.Inf(1)
@@ -229,23 +270,28 @@ type Scores struct {
 // clustering are reported as NaN rather than aborting the sweep, since
 // the paper's point is precisely that some k values degenerate.
 func AllScores(c Clustering, d DistFunc) Scores {
+	return AllScoresWith(c, funcDistances{c, d})
+}
+
+// AllScoresWith is AllScores reading its distances from d.
+func AllScoresWith(c Clustering, d Distances) Scores {
 	s := Scores{K: c.K}
-	if v, err := DaviesBouldin(c, d); err == nil {
+	if v, err := daviesBouldin(c, d); err == nil {
 		s.DaviesBouldin = v
 	} else {
 		s.DaviesBouldin = math.NaN()
 	}
-	if v, err := DaviesBouldinStar(c, d); err == nil {
+	if v, err := daviesBouldinStar(c, d); err == nil {
 		s.DBStar = v
 	} else {
 		s.DBStar = math.NaN()
 	}
-	if v, err := Dunn(c, d); err == nil {
+	if v, err := dunn(c, d); err == nil {
 		s.Dunn = v
 	} else {
 		s.Dunn = math.NaN()
 	}
-	if v, err := Silhouette(c, d); err == nil {
+	if v, err := SilhouetteWith(c, d); err == nil {
 		s.Silhouette = v
 	} else {
 		s.Silhouette = math.NaN()

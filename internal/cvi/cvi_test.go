@@ -254,3 +254,44 @@ func TestAllScoresHealthy(t *testing.T) {
 		t.Errorf("healthy clustering produced NaN: %+v", s)
 	}
 }
+
+// tableDistances answers from precomputed tables, as a caching caller
+// would.
+type tableDistances struct{ point, toCentroid, centroid [][]float64 }
+
+func (t tableDistances) Point(i, j int) float64         { return t.point[i][j] }
+func (t tableDistances) PointCentroid(i, c int) float64 { return t.toCentroid[i][c] }
+func (t tableDistances) Centroid(a, b int) float64      { return t.centroid[a][b] }
+
+// TestAllScoresWithMatchesDistFunc feeds the indices an asymmetric
+// distance both ways: as a DistFunc and as precomputed tables indexed
+// in the documented argument order. Every score must agree bit for bit.
+func TestAllScoresWithMatchesDistFunc(t *testing.T) {
+	skew := func(a, b []float64) float64 { return euclid(a, b) + 0.01*a[0] - 0.003*b[1] + 1 }
+	table := func(xs, ys [][]float64) [][]float64 {
+		out := make([][]float64, len(xs))
+		for i, x := range xs {
+			out[i] = make([]float64, len(ys))
+			for j, y := range ys {
+				out[i][j] = skew(x, y)
+			}
+		}
+		return out
+	}
+	rng := rand.New(rand.NewPCG(12, 12))
+	for trial := 0; trial < 20; trial++ {
+		c := randomClustering(rng, 12, 3, 4)
+		want := AllScores(c, skew)
+		got := AllScoresWith(c, tableDistances{
+			point:      table(c.Points, c.Points),
+			toCentroid: table(c.Points, c.Centroids),
+			centroid:   table(c.Centroids, c.Centroids),
+		})
+		if math.Float64bits(got.DaviesBouldin) != math.Float64bits(want.DaviesBouldin) ||
+			math.Float64bits(got.DBStar) != math.Float64bits(want.DBStar) ||
+			math.Float64bits(got.Dunn) != math.Float64bits(want.Dunn) ||
+			math.Float64bits(got.Silhouette) != math.Float64bits(want.Silhouette) {
+			t.Fatalf("trial %d: AllScoresWith %+v != AllScores %+v", trial, got, want)
+		}
+	}
+}

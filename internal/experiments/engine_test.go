@@ -219,3 +219,25 @@ func TestEncodeJSONGolden(t *testing.T) {
 		t.Errorf("JSON encoding drifted from %s:\n--- got ---\n%s\n--- want ---\n%s", golden, got, want)
 	}
 }
+
+// TestFig5JSONGolden pins fig5's machine-readable output byte for byte
+// on the small synthetic dataset (recorded before the k-Shape kernel
+// rewrite, which must not move a single byte of it).
+func TestFig5JSONGolden(t *testing.T) {
+	res, err := testEnv(t).Fig5(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := EncodeJSON([]Result{res})
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden := filepath.Join("testdata", "fig5.golden.json")
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("fig5 JSON drifted from %s:\n--- got ---\n%s\n--- want ---\n%s", golden, got, want)
+	}
+}

@@ -100,12 +100,19 @@ func (e *Env) Fig4(ctx context.Context) (Result, error) {
 
 	// Right panel of Fig. 4: the detector internals on Facebook's
 	// Monday — raw signal, smoothed baseline and the ±threshold band.
+	// A windowed view that ends before Monday (the weekend, say) has
+	// no such panel.
 	s, det, _, err := e.An.DetectOn(services.DL, "Facebook")
 	if err != nil {
 		return res, err
 	}
 	day := int(24 * 60 / (s.Step.Minutes()))
 	lo, hi := 2*day, 3*day // Monday
+	if hi > s.Len() {
+		fmt.Fprintf(&b, "(no Monday panel: the %d-bin grid ends before Monday's bins %d-%d)\n", s.Len(), lo, hi-1)
+		res.Text = b.String()
+		return res, nil
+	}
 	p := peaks.PaperParams()
 	band := make([]float64, 0, hi-lo)
 	for i := lo; i < hi; i++ {

@@ -3,8 +3,6 @@ package kshape
 import (
 	"math"
 	"math/rand/v2"
-
-	"repro/internal/timeseries"
 )
 
 // KMeans clusters the series with Lloyd's algorithm under the Euclidean
@@ -20,14 +18,7 @@ func KMeans(series [][]float64, k int, opts Options) (*Result, error) {
 	opts = opts.withDefaults()
 	n := len(series)
 	m := len(series[0])
-
-	data := series
-	if opts.ZNormalize {
-		data = make([][]float64, n)
-		for i, s := range series {
-			data[i] = timeseries.ZNormalize(s)
-		}
-	}
+	data := prepare(series, opts)
 
 	rng := rand.New(rand.NewPCG(opts.Seed, 0x6b6d6e73)) // "kmns"
 	assign := make([]int, n)

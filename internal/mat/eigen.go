@@ -152,17 +152,24 @@ func PowerIteration(a *Dense, start []float64, maxIter int, tol float64) (value 
 	if tol <= 0 {
 		tol = 1e-12
 	}
+	// av holds a·v throughout. Each iteration normalizes it into the
+	// next iterate w and computes a·w for the Rayleigh quotient; that
+	// product is exactly the next iteration's a·v, so it is kept rather
+	// than recomputed, and the three buffers rotate without allocating.
+	av, aw := make([]float64, n), make([]float64, n)
+	a.MulVecTo(av, v)
 	prev := math.Inf(1)
 	for iter := 0; iter < maxIter; iter++ {
-		w := a.MulVec(v)
+		w := av
 		norm := Norm2(w)
 		if norm == 0 {
 			// a·v == 0: v is in the null space; eigenvalue 0.
 			return 0, v, nil
 		}
 		Scale(w, 1/norm)
-		lambda := Dot(w, a.MulVec(w))
-		v = w
+		a.MulVecTo(aw, w)
+		lambda := Dot(w, aw)
+		v, av, aw = w, aw, v
 		if math.Abs(lambda-prev) <= tol*(1+math.Abs(lambda)) {
 			return lambda, v, nil
 		}

@@ -13,6 +13,8 @@ package mat
 import (
 	"fmt"
 	"math"
+	"runtime"
+	"sync"
 )
 
 // Dense is a row-major dense matrix.
@@ -78,19 +80,83 @@ func Transpose(m *Dense) *Dense {
 
 // MulVec returns m·v as a new slice. It panics if len(v) != m.Cols.
 func (m *Dense) MulVec(v []float64) []float64 {
-	if len(v) != m.Cols {
-		panic(fmt.Sprintf("mat: MulVec dimension mismatch %dx%d · %d", m.Rows, m.Cols, len(v)))
-	}
 	out := make([]float64, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
+	m.MulVecTo(out, v)
+	return out
+}
+
+// parallelMinWork is the matrix size (Rows·Cols) from which MulVecTo
+// splits its rows across goroutines; below it the spawn cost exceeds
+// the product.
+const parallelMinWork = 1 << 15
+
+// MulVecTo writes m·v into dst instead of a new slice. It panics if
+// len(v) != m.Cols or len(dst) != m.Rows, or if dst aliases v.
+//
+// Large matrices split their rows across GOMAXPROCS goroutines. Each
+// output element is still the same sequential sum over its row in
+// column order, computed by exactly one goroutine, so the result is
+// bit-identical at any GOMAXPROCS.
+func (m *Dense) MulVecTo(dst, v []float64) {
+	if len(v) != m.Cols || len(dst) != m.Rows {
+		panic(fmt.Sprintf("mat: MulVecTo dimension mismatch %dx%d · %d -> %d", m.Rows, m.Cols, len(v), len(dst)))
+	}
+	if len(dst) > 0 && len(v) > 0 && &dst[0] == &v[0] {
+		panic("mat: MulVecTo dst aliases v")
+	}
+	workers := min(runtime.GOMAXPROCS(0), m.Rows/rowBlock)
+	if workers <= 1 || m.Rows*m.Cols < parallelMinWork {
+		m.mulRows(dst, v, 0, m.Rows)
+		return
+	}
+	// Chunks are whole row blocks so every worker runs the unrolled loop.
+	chunk := (m.Rows/rowBlock + workers - 1) / workers * rowBlock
+	var wg sync.WaitGroup
+	for lo := chunk; lo < m.Rows; lo += chunk {
+		wg.Add(1)
+		go func(lo, hi int) {
+			defer wg.Done()
+			m.mulRows(dst, v, lo, hi)
+		}(lo, min(lo+chunk, m.Rows))
+	}
+	m.mulRows(dst, v, 0, min(chunk, m.Rows))
+	wg.Wait()
+}
+
+// rowBlock is the number of rows mulRows advances together.
+const rowBlock = 4
+
+// mulRows computes dst[i] = Σ_j m[i][j]·v[j] for rows [lo, hi). Four
+// rows advance together so their four independent sums overlap in the
+// pipeline; each sum still runs over j in order, as the one-row loop
+// does.
+func (m *Dense) mulRows(dst, v []float64, lo, hi int) {
+	c := m.Cols
+	v = v[:c]
+	i := lo
+	for ; i+rowBlock <= hi; i += rowBlock {
+		// Reslicing to len(v) lets the compiler drop the bounds checks.
+		r0 := m.Data[i*c:][:len(v)]
+		r1 := m.Data[(i+1)*c:][:len(v)]
+		r2 := m.Data[(i+2)*c:][:len(v)]
+		r3 := m.Data[(i+3)*c:][:len(v)]
+		var s0, s1, s2, s3 float64
+		for j, vj := range v {
+			s0 += r0[j] * vj
+			s1 += r1[j] * vj
+			s2 += r2[j] * vj
+			s3 += r3[j] * vj
+		}
+		dst[i], dst[i+1], dst[i+2], dst[i+3] = s0, s1, s2, s3
+	}
+	for ; i < hi; i++ {
+		row := m.Data[i*c:][:len(v)]
 		var sum float64
 		for j, rv := range row {
 			sum += rv * v[j]
 		}
-		out[i] = sum
+		dst[i] = sum
 	}
-	return out
 }
 
 // IsSymmetric reports whether m is square and symmetric within tol.

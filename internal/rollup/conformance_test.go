@@ -71,8 +71,9 @@ func (fx *fixture) run(t testing.TB, shards int, collect bool) (*probe.Report, *
 }
 
 // engineJSON runs the Figs. 2-11 suite over a dataset and returns the
-// encoded results. fig5 (the k-Shape sweep, ~40 s per run) is omitted:
-// the structural DeepEqual of the materialized datasets below is
+// encoded results. fig5 (the k-Shape sweep, ~12 s per run on this
+// 600-session fixture on a 2-vCPU Xeon) is omitted: the structural
+// DeepEqual of the materialized datasets below is
 // strictly stronger — the engine is deterministic in (dataset, seed),
 // so equal datasets give equal fig5 output by construction.
 func engineJSON(t testing.TB, ds core.Dataset) []byte {
@@ -308,5 +309,30 @@ func TestOpenFromFile(t *testing.T) {
 	if _, err := experiments.NewEngine(env).Run(context.Background(),
 		experiments.Options{IDs: []string{"fig2"}}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFullRegistryOnShortWindow runs every registered experiment over
+// a 192-bin window view (the weekend, as `analyze -snapshot X -window
+// 0:192` opens it). A runner must degrade to what the grid covers —
+// Fig. 4's Monday panel needs bins 192-287 — never index past it.
+func TestFullRegistryOnShortWindow(t *testing.T) {
+	fx := newFixture(t, 600)
+	_, part := fx.run(t, 1, true)
+	ds, err := rollup.Window(part, 0, 192)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []string
+	for _, r := range experiments.All() {
+		ids = append(ids, r.ID)
+	}
+	eng := experiments.NewEngine(experiments.NewEnvFrom(ds, 1))
+	results, err := eng.Run(context.Background(), experiments.Options{Concurrency: 2, IDs: ids})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(results) != len(ids) {
+		t.Fatalf("%d results for %d runners", len(results), len(ids))
 	}
 }
