@@ -231,7 +231,7 @@ func BenchmarkRollupIngest(b *testing.B) {
 	for _, f := range frames {
 		bytes += int64(len(f.Data))
 	}
-	pcfg := probe.ConfigFor(country)
+	pcfg := probe.DefaultConfig()
 	rcfg := rollup.ConfigFrom(pcfg, geo.SmallConfig())
 	seen := map[int]bool{}
 	for _, shards := range []int{1, 2, runtime.NumCPU()} {
@@ -271,7 +271,7 @@ func BenchmarkSnapshotCodec(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	pcfg := probe.ConfigFor(country)
+	pcfg := probe.DefaultConfig()
 	pl := probe.NewPipeline(pcfg, sim.Cells, dpi.NewClassifier(catalog), 2)
 	col := rollup.NewCollector(rollup.ConfigFrom(pcfg, geo.SmallConfig()), pl.Shards())
 	rep, err := pl.WithSinks(col.Sink).Run(sim.Stream())
@@ -331,7 +331,7 @@ func BenchmarkSnapshotMerge(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		pcfg := probe.ConfigFor(country)
+		pcfg := probe.DefaultConfig()
 		pcfg.Start = cfg.Start
 		pcfg.Bins = min(win[1]-win[0]+3, weekBins-win[0])
 		pl := probe.NewPipeline(pcfg, sim.Cells, dpi.NewClassifier(catalog), 2)

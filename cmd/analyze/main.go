@@ -45,8 +45,8 @@ import (
 )
 
 // snapshotEnv builds the engine environment from recorded rollups.
-// A plain whole file opens directly (counters and the overflow epoch
-// intact, which the probe experiment reads). A view — -window,
+// A plain whole file opens directly, counters and the overflow epoch
+// intact. A view — -window,
 // -services, or a directory store — goes through the catalog planner
 // unless -full-scan asks for the sequential reference: read everything,
 // ViewSpec.Apply. The two paths are defined (and tested in

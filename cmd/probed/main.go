@@ -177,7 +177,7 @@ the aggregator.
 		os.Exit(1)
 	}()
 
-	pcfg := probe.ConfigFor(country)
+	pcfg := probe.DefaultConfig()
 	pcfg.Start = timeseries.StudyStart.Add(time.Duration(winFrom) * timeseries.DefaultStep)
 	pcfg.Bins = gridTo - winFrom
 	pl := probe.NewPipeline(pcfg, cells, dpi.NewClassifier(catalog), *shards).

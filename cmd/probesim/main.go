@@ -4,13 +4,14 @@
 // interfaces with the passive probe pipeline — streaming, like the
 // paper's probes: frames flow from the simulator (or a recorded binary
 // trace) straight into the sharded pipeline without ever materializing
-// the capture. The merged measurement becomes a core.Dataset and runs
-// through the same analysis API the synthetic data flows through.
+// the capture. Each shard feeds the rollup store, which builds
+// epoch-sealed (service, commune, bin) aggregates online; the merged
+// partial becomes a core.Dataset and runs through the same analysis
+// API the synthetic data flows through.
 //
-// With -snapshot the run additionally feeds the rollup store: each
-// shard builds epoch-sealed (service, commune, bin) aggregates online,
-// and the merged partial persists to a snapshot file that cmd/analyze
-// -snapshot analyzes directly — produce once, analyze many.
+// With -snapshot the partial also persists to a snapshot file that
+// cmd/analyze -snapshot analyzes directly — produce once, analyze
+// many.
 package main
 
 import (
@@ -29,7 +30,6 @@ import (
 	"repro/internal/dpi"
 	"repro/internal/geo"
 	"repro/internal/gtpsim"
-	"repro/internal/measured"
 	"repro/internal/obs"
 	"repro/internal/probe"
 	"repro/internal/report"
@@ -183,18 +183,14 @@ CI use.
 		os.Exit(1)
 	}()
 
-	pcfg := probe.ConfigFor(country)
+	pcfg := probe.DefaultConfig()
 	pcfg.Start = timeseries.StudyStart.Add(time.Duration(winFrom) * timeseries.DefaultStep)
 	pcfg.Bins = gridTo - winFrom
 	pl := probe.NewPipeline(pcfg, cells, dpi.NewClassifier(catalog), *shards).
 		WithMetrics(probe.NewMetrics(reg, *shards))
-	var col *rollup.Collector
-	if *snapshot != "" {
-		col = rollup.NewCollector(rollup.ConfigFrom(pcfg, geo.SmallConfig()), pl.Shards()).
-			WithMetrics(rollup.NewMetrics(reg))
-		pl.WithSinks(col.Sink)
-	}
-	rep, err := pl.Run(stop)
+	col := rollup.NewCollector(rollup.ConfigFrom(pcfg, geo.SmallConfig()), pl.Shards()).
+		WithMetrics(rollup.NewMetrics(reg))
+	rep, err := pl.WithSinks(col.Sink).Run(stop)
 	if err != nil {
 		log.Errorf("capture broke mid-stream: %v (reporting what was measured)", err)
 	}
@@ -207,11 +203,11 @@ CI use.
 	say("measured volume: DL %s, UL %s\n\n",
 		report.Bytes(rep.TotalBytes[services.DL]), report.Bytes(rep.TotalBytes[services.UL]))
 
-	if col != nil {
-		part, err := col.Finish(rep)
-		if err != nil {
-			fail(err)
-		}
+	part, err := col.Finish(rep)
+	if err != nil {
+		fail(err)
+	}
+	if *snapshot != "" {
 		if err := rollup.WriteFile(*snapshot, part); err != nil {
 			fail(err)
 		}
@@ -249,10 +245,10 @@ CI use.
 		return
 	}
 
-	// Materialize the merged measurement and rank it through the
-	// analysis API — next to the ground truth when it exists (live
-	// simulation; a replayed trace carries no generator state).
-	mds, err := measured.FromProbeGrid(rep, country, catalog, pcfg.Start, pcfg.Step, pcfg.Bins)
+	// Materialize the merged partial and rank it through the analysis
+	// API — next to the ground truth when it exists (live simulation;
+	// a replayed trace carries no generator state).
+	mds, err := part.Dataset()
 	if err != nil {
 		fail(err)
 	}

@@ -46,7 +46,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		pcfg := probe.ConfigFor(country)
+		pcfg := probe.DefaultConfig()
 		pcfg.Start = cfg.Start
 		pcfg.Bins = min(winTo-winFrom+3, weekBins-winFrom)
 		pl := probe.NewPipeline(pcfg, sim.Cells, dpi.NewClassifier(catalog), 2)

@@ -107,7 +107,7 @@ func chaosWorkload(t *testing.T) *chaosFixture {
 		frames1, frames2 := sim(0, half), sim(half, rangeBins)
 
 		// The single-process reference over the concatenated capture.
-		pcfg := probe.ConfigFor(country)
+		pcfg := probe.DefaultConfig()
 		pcfg.Bins = rangeBins
 		pl := probe.NewPipeline(pcfg, cells, dpi.NewClassifier(catalog), 2)
 		col := rollup.NewCollector(rollup.ConfigFrom(pcfg, geo.SmallConfig()), pl.Shards())
@@ -130,7 +130,7 @@ func chaosWorkload(t *testing.T) *chaosFixture {
 		// arithmetic: window plus spill slack, clamped to the range).
 		record := func(id string, frames []capture.Frame, winFrom, winTo int) *chaosProbe {
 			const slack = 3
-			pcfg := probe.ConfigFor(country)
+			pcfg := probe.DefaultConfig()
 			pcfg.Start = timeseries.StudyStart.Add(time.Duration(winFrom) * timeseries.DefaultStep)
 			pcfg.Bins = min(winTo+slack, rangeBins) - winFrom
 			rcfg := rollup.ConfigFrom(pcfg, geo.SmallConfig())

@@ -71,7 +71,7 @@ func distWorkload(t *testing.T) *distFixture {
 
 		// The single-process reference: one pipeline over the whole
 		// concatenated capture on the full week grid.
-		pcfg := probe.ConfigFor(fx.country)
+		pcfg := probe.DefaultConfig()
 		pcfg.Bins = fx.weekBins
 		pl := probe.NewPipeline(pcfg, fx.cells, dpi.NewClassifier(fx.catalog), 2)
 		col := rollup.NewCollector(rollup.ConfigFrom(pcfg, geo.SmallConfig()), pl.Shards())
@@ -102,7 +102,7 @@ func distWorkload(t *testing.T) *distFixture {
 // arithmetic).
 func (fx *distFixture) probeGrid(winFrom, winTo int) (probe.Config, rollup.Config) {
 	const slack = 3
-	pcfg := probe.ConfigFor(fx.country)
+	pcfg := probe.DefaultConfig()
 	pcfg.Start = timeseries.StudyStart.Add(time.Duration(winFrom) * timeseries.DefaultStep)
 	pcfg.Bins = min(winTo+slack, fx.weekBins) - winFrom
 	return pcfg, rollup.ConfigFrom(pcfg, geo.SmallConfig())

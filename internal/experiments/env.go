@@ -65,20 +65,6 @@ func NewEnvFromSnapshot(path string, seed uint64) (*Env, error) {
 	return NewEnvFrom(ds, seed), nil
 }
 
-// NewEnvFromSnapshotWindow opens bins [from, to) of a rollup snapshot
-// as the environment's dataset: the windowed-view path that runs the
-// engine over one day, the weekend or the working week of a merged
-// multi-day snapshot without re-collecting anything. The study week
-// starts on a Saturday, so at the default 15-minute step the weekend
-// is [0, 192) and the weekdays are [192, 672).
-func NewEnvFromSnapshotWindow(path string, from, to int, seed uint64) (*Env, error) {
-	ds, err := rollup.OpenWindow(path, from, to)
-	if err != nil {
-		return nil, err
-	}
-	return NewEnvFrom(ds, seed), nil
-}
-
 // Result is one experiment's outcome.
 type Result struct {
 	// ID is the figure identifier ("fig2" ... "fig11", "probe", ...).

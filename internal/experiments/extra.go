@@ -11,13 +11,12 @@ import (
 	"repro/internal/geo"
 	"repro/internal/gtpsim"
 	"repro/internal/kshape"
-	"repro/internal/measured"
 	"repro/internal/peaks"
 	"repro/internal/probe"
 	"repro/internal/report"
+	"repro/internal/rollup"
 	"repro/internal/services"
 	"repro/internal/stats"
-	"repro/internal/timeseries"
 )
 
 // ProbeExperiment exercises the packet path end to end: simulate the
@@ -41,8 +40,17 @@ func (e *Env) ProbeExperiment(ctx context.Context) (Result, error) {
 	// online ingestion path; nothing materializes the trace. Two
 	// shards keep the demonstration parallel without competing with
 	// the experiment engine's own worker pool.
+	// A rollup collector aggregates the observations into cells, the
+	// store the dataset below is built from.
 	st := sim.Stream()
-	rep, err := probe.NewPipeline(probe.ConfigFor(country), sim.Cells, dpi.NewClassifier(catalog), 2).Run(st)
+	pcfg := probe.DefaultConfig()
+	pl := probe.NewPipeline(pcfg, sim.Cells, dpi.NewClassifier(catalog), 2)
+	col := rollup.NewCollector(rollup.ConfigFrom(pcfg, geo.SmallConfig()), pl.Shards())
+	rep, err := pl.WithSinks(col.Sink).Run(st)
+	if err != nil {
+		return res, err
+	}
+	part, err := col.Finish(rep)
 	if err != nil {
 		return res, err
 	}
@@ -70,7 +78,7 @@ func (e *Env) ProbeExperiment(ctx context.Context) (Result, error) {
 	// Close the loop: the probe's aggregates become a dataset and run
 	// through the analysis API. The measured downlink ranking must
 	// rank-correlate with the generating catalogue shares.
-	mds, err := measured.FromProbe(rep, country, catalog, timeseries.DefaultStep)
+	mds, err := part.Dataset()
 	if err != nil {
 		return res, err
 	}

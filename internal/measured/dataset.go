@@ -39,29 +39,14 @@ type Dataset struct {
 
 var _ core.Dataset = (*Dataset)(nil)
 
-// FromProbe builds a dataset from a probe measurement report over the
-// default grid — the study week from timeseries.StudyStart. step
-// defaults to timeseries.DefaultStep. See FromProbeGrid.
-func FromProbe(rep *probe.Report, country *geo.Country, catalog []services.Service, step time.Duration) (*Dataset, error) {
-	if step <= 0 {
-		step = timeseries.DefaultStep
-	}
-	return FromProbeGrid(rep, country, catalog, timeseries.StudyStart, step, int(timeseries.Week/step))
-}
-
-// FromProbeGrid builds a dataset from a probe measurement report on an
-// explicit time grid: bins samples of step starting at start. The
-// windowed dataset views of the rollup store (rollup.Window) use it to
-// materialize per-day or per-weekend slices whose series do not start
-// at the study epoch. Only services of the catalogue the probe
-// actually observed (non-zero classified bytes in either direction)
-// enter the dataset, preserving catalogue order.
-//
-// Group (per-urbanization-class) series come straight from the
-// report when the probe was configured with probe.ConfigFor (i.e.
-// Report.SvcClassSeries is populated); otherwise each class series is
-// approximated as the national series scaled by the class's share of
-// the service's spatial volume.
+// FromProbeGrid builds a dataset from a full probe report — the one
+// rollup.Partial.Report builds from cells — on an explicit time grid:
+// bins samples of step starting at start, which must be the grid the
+// report's series were built on (rollup.Window views start anywhere on
+// the lattice, not just at timeseries.StudyStart). Only services of
+// the catalogue the probe actually observed (non-zero classified bytes
+// in either direction) enter the dataset, preserving catalogue order.
+// A direction a kept service never used gets zero series.
 func FromProbeGrid(rep *probe.Report, country *geo.Country, catalog []services.Service,
 	start time.Time, step time.Duration, bins int) (*Dataset, error) {
 
@@ -107,7 +92,7 @@ func FromProbeGrid(rep *probe.Report, country *geo.Country, catalog []services.S
 			per := rep.CommuneBytesOf(dir, svc.Name)
 			copy(spatial, per)
 			d.spatial[dir][s] = spatial
-			d.group[dir][s] = groupSeriesFor(rep, dir, svc.Name, d.national[dir][s], spatial, country)
+			d.group[dir][s] = groupSeries(rep.ClassSeriesOf(dir, svc.Name), start, step, bins)
 		}
 		// A probe sees no long tail beyond its DPI catalogue; the
 		// rank-size population is the named services alone.
@@ -116,33 +101,17 @@ func FromProbeGrid(rep *probe.Report, country *geo.Country, catalog []services.S
 	return d, nil
 }
 
-// groupSeriesFor assembles the per-class series of one service:
-// measured directly when available, otherwise the national shape
-// split by the class spatial shares.
-func groupSeriesFor(rep *probe.Report, dir services.Direction, name string,
-	national *timeseries.Series, spatial []float64, country *geo.Country) [geo.NumUrbanization]*timeseries.Series {
-
+// groupSeries copies the measured per-class series of one service, or
+// returns zero grids when the service carried nothing in the
+// direction.
+func groupSeries(cls *[geo.NumUrbanization]*timeseries.Series, start time.Time, step time.Duration, bins int) [geo.NumUrbanization]*timeseries.Series {
 	var out [geo.NumUrbanization]*timeseries.Series
-	if cls := rep.ClassSeriesOf(dir, name); cls != nil {
-		for u := 0; u < geo.NumUrbanization; u++ {
+	for u := range out {
+		if cls != nil {
 			out[u] = cls[u].Clone()
+		} else {
+			out[u] = timeseries.New(start, step, bins)
 		}
-		return out
-	}
-	var classVol [geo.NumUrbanization]float64
-	var total float64
-	for i, v := range spatial {
-		classVol[country.Communes[i].Urbanization] += v
-		total += v
-	}
-	for u := 0; u < geo.NumUrbanization; u++ {
-		s := national.Clone()
-		share := 0.0
-		if total > 0 {
-			share = classVol[u] / total
-		}
-		s.Scale(share)
-		out[u] = s
 	}
 	return out
 }

@@ -16,6 +16,7 @@ import (
 	"repro/internal/gtpsim"
 	"repro/internal/measured"
 	"repro/internal/probe"
+	"repro/internal/rollup"
 	"repro/internal/services"
 	"repro/internal/synth"
 	"repro/internal/timeseries"
@@ -28,6 +29,7 @@ var (
 
 	probeOnce    sync.Once
 	probeDS      *measured.Dataset
+	probeRep     *probe.Report
 	probeCountry *geo.Country
 	probeErr     error
 )
@@ -44,11 +46,11 @@ func synthDataset(t *testing.T) *synth.Dataset {
 }
 
 // probeDataset memoizes a probe-measured dataset: stream the small
-// country's packet plane through the sharded pipeline and materialize
-// the merged report — FromProbe consumes it exactly as it would a
-// single probe's (the merge is exact, so the dataset is identical at
-// any shard count).
-func probeDataset(t *testing.T) (*measured.Dataset, *geo.Country) {
+// country's packet plane through the sharded pipeline into a rollup
+// collector, build the report from the merged cells and materialize it
+// (the merge is exact, so the dataset is identical at any shard
+// count). It also returns that report, on the study-week grid.
+func probeDataset(t *testing.T) (*measured.Dataset, *probe.Report, *geo.Country) {
 	t.Helper()
 	probeOnce.Do(func() {
 		country := geo.Generate(geo.SmallConfig())
@@ -58,19 +60,29 @@ func probeDataset(t *testing.T) (*measured.Dataset, *geo.Country) {
 			probeErr = err
 			return
 		}
-		pl := probe.NewPipeline(probe.ConfigFor(country), sim.Cells, dpi.NewClassifier(catalog), 0)
-		rep, err := pl.Run(sim.Stream())
+		pcfg := probe.DefaultConfig()
+		pl := probe.NewPipeline(pcfg, sim.Cells, dpi.NewClassifier(catalog), 0)
+		col := rollup.NewCollector(rollup.ConfigFrom(pcfg, geo.SmallConfig()), pl.Shards())
+		rep, err := pl.WithSinks(col.Sink).Run(sim.Stream())
 		if err != nil {
 			probeErr = err
 			return
 		}
+		part, err := col.Finish(rep)
+		if err != nil {
+			probeErr = err
+			return
+		}
+		if probeRep, probeErr = part.Report(country); probeErr != nil {
+			return
+		}
 		probeCountry = country
-		probeDS, probeErr = measured.FromProbe(rep, country, catalog, timeseries.DefaultStep)
+		probeDS, probeErr = measured.FromProbeGrid(probeRep, country, catalog, pcfg.Start, pcfg.Step, pcfg.Bins)
 	})
 	if probeErr != nil {
 		t.Fatal(probeErr)
 	}
-	return probeDS, probeCountry
+	return probeDS, probeRep, probeCountry
 }
 
 func relDiff(a, b float64) float64 {
@@ -203,7 +215,7 @@ func TestDatasetConformance(t *testing.T) {
 		conform(t, measured.Materialize(synthDataset(t)), 0.02)
 	})
 	t.Run("probe", func(t *testing.T) {
-		ds, _ := probeDataset(t)
+		ds, _, _ := probeDataset(t)
 		conform(t, ds, 0.05)
 	})
 }
@@ -237,7 +249,7 @@ func TestCrossBackendEquality(t *testing.T) {
 // and experiment engine as the synthetic data, producing the same
 // Result schema.
 func TestProbeDatasetThroughAnalyzer(t *testing.T) {
-	ds, country := probeDataset(t)
+	ds, _, country := probeDataset(t)
 	if got := len(ds.Services()); got < 15 {
 		t.Fatalf("probe observed only %d services", got)
 	}
@@ -311,18 +323,9 @@ func TestProbeDatasetThroughAnalyzer(t *testing.T) {
 // TestFromProbeStepMismatch rejects a step that contradicts the
 // report's actual binning — the dataset must not mix resolutions.
 func TestFromProbeStepMismatch(t *testing.T) {
-	_, country := probeDataset(t) // memoized 15-minute report exists
-	catalog := services.Catalog()
-	sim, err := gtpsim.New(country, catalog, gtpsim.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	frames, _ := sim.Run()
-	p := probe.New(probe.ConfigFor(country), sim.Cells, dpi.NewClassifier(catalog))
-	for _, f := range frames {
-		p.HandleFrame(f.Time, f.Data)
-	}
-	if _, err := measured.FromProbe(p.Report(), country, catalog, time.Hour); err == nil {
+	_, rep, country := probeDataset(t) // memoized 15-minute report
+	bins := int(timeseries.Week / time.Hour)
+	if _, err := measured.FromProbeGrid(rep, country, services.Catalog(), timeseries.StudyStart, time.Hour, bins); err == nil {
 		t.Error("hourly step over a 15-minute report: want error")
 	}
 }
@@ -330,13 +333,13 @@ func TestFromProbeStepMismatch(t *testing.T) {
 // TestFromProbeGridWindowStart: the grid-parameterized constructor
 // accepts a report binned off the study epoch — the windowed dataset
 // views of the rollup store — and pins the grid onto every series,
-// while the plain FromProbe keeps rejecting such a report.
+// while the study-week grid is rejected for such a report.
 func TestFromProbeGridWindowStart(t *testing.T) {
 	country := geo.Generate(geo.SmallConfig())
 	catalog := services.Catalog()
 	start := timeseries.StudyStart.Add(24 * time.Hour) // day 1, not the epoch
 	const bins = 96
-	cfg := probe.ConfigFor(country)
+	cfg := probe.DefaultConfig()
 	cfg.Start, cfg.Bins = start, bins
 	simCfg := gtpsim.DefaultConfig()
 	simCfg.Sessions = 150
@@ -347,10 +350,20 @@ func TestFromProbeGridWindowStart(t *testing.T) {
 	}
 	frames, _ := sim.Run()
 	p := probe.New(cfg, sim.Cells, dpi.NewClassifier(catalog))
+	col := rollup.NewCollector(rollup.ConfigFrom(cfg, geo.SmallConfig()), 1)
+	p.SetSink(col.Sink(0))
 	for _, f := range frames {
 		p.HandleFrame(f.Time, f.Data)
 	}
-	ds, err := measured.FromProbeGrid(p.Report(), country, catalog, start, timeseries.DefaultStep, bins)
+	part, err := col.Finish(p.Report())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := part.Report(country)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds, err := measured.FromProbeGrid(rep, country, catalog, start, timeseries.DefaultStep, bins)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,21 +371,23 @@ func TestFromProbeGridWindowStart(t *testing.T) {
 	if !s.Start.Equal(start) || s.Len() != bins {
 		t.Errorf("windowed series grid %v/%d, want %v/%d", s.Start, s.Len(), start, bins)
 	}
-	if _, err := measured.FromProbe(p.Report(), country, catalog, timeseries.DefaultStep); err == nil {
-		t.Error("FromProbe accepted a report binned off the study epoch")
+	week := int(timeseries.Week / timeseries.DefaultStep)
+	if _, err := measured.FromProbeGrid(rep, country, catalog, timeseries.StudyStart, timeseries.DefaultStep, week); err == nil {
+		t.Error("FromProbeGrid accepted the study-week grid for a report binned off the study epoch")
 	}
-	if _, err := measured.FromProbeGrid(p.Report(), country, catalog, start, timeseries.DefaultStep, 0); err == nil {
+	if _, err := measured.FromProbeGrid(rep, country, catalog, start, timeseries.DefaultStep, 0); err == nil {
 		t.Error("FromProbeGrid accepted a zero-bin grid")
 	}
 }
 
 // TestFromProbeEmptyReport rejects a report with no classified
-// traffic.
+// traffic: a fresh probe's, which carries no per-service data at all.
 func TestFromProbeEmptyReport(t *testing.T) {
 	country := geo.Generate(geo.SmallConfig())
 	catalog := services.Catalog()
-	p := probe.New(probe.ConfigFor(country), gtpsim.BuildCells(country, 1), dpi.NewClassifier(catalog))
-	if _, err := measured.FromProbe(p.Report(), country, catalog, timeseries.DefaultStep); err == nil {
+	p := probe.New(probe.DefaultConfig(), gtpsim.BuildCells(country, 1), dpi.NewClassifier(catalog))
+	pcfg := probe.DefaultConfig()
+	if _, err := measured.FromProbeGrid(p.Report(), country, catalog, pcfg.Start, pcfg.Step, pcfg.Bins); err == nil {
 		t.Error("empty report: want error")
 	}
 }

@@ -1,4 +1,4 @@
-package probe
+package probe_test
 
 import (
 	"testing"
@@ -8,6 +8,8 @@ import (
 	"repro/internal/geo"
 	"repro/internal/gtpsim"
 	"repro/internal/pkt"
+	"repro/internal/probe"
+	"repro/internal/probe/probetest"
 	"repro/internal/services"
 	"repro/internal/timeseries"
 )
@@ -16,42 +18,27 @@ import (
 // together with a classified, geo-referenced data frame for that
 // tunnel — the steady-state packet every probe core spends its life
 // on.
-func allocProbe(t *testing.T) (*Probe, []byte) {
+func allocProbe(t *testing.T) (*probe.Probe, []byte) {
 	t.Helper()
 	country := geo.Generate(geo.SmallConfig())
 	cells := gtpsim.BuildCells(country, 1)
-	p := New(ConfigFor(country), cells, dpi.NewClassifier(services.Catalog()))
-
+	p := probe.New(probe.DefaultConfig(), cells, dpi.NewClassifier(services.Catalog()))
 	cell := &cells.Cells[0]
-	create := &pkt.GTPv2C{MessageType: pkt.GTPv2MsgCreateSessionRequest, TEID: 1, Sequence: 1,
-		DataTEID: 77, HasDataTEID: true,
-		Location: pkt.ULI{AreaCode: cell.AreaCode, CellID: cell.ID}, HasULI: true}
-	seg := (&pkt.UDP{SrcPort: 31000, DstPort: pkt.PortGTPC}).SerializeTo(nil, create.SerializeTo(nil, nil))
-	ctrl := (&pkt.IPv4{TTL: 64, Protocol: pkt.IPProtoUDP, SrcIP: gtpsim.AccessGW, DstIP: gtpsim.CoreGW}).SerializeTo(nil, seg)
-	p.HandleFrame(timeseries.StudyStart, ctrl)
-
-	ue := [4]byte{10, 0, 0, 1}
-	server := [4]byte{203, 1, 0, 1} // YouTube prefix
-	tcp := &pkt.TCP{SrcPort: 443, DstPort: 50000, Flags: pkt.TCPAck}
-	tcp.SetChecksumIPs(server, ue)
-	inner := (&pkt.IPv4{TTL: 60, Protocol: pkt.IPProtoTCP, SrcIP: server, DstIP: ue}).SerializeTo(nil, tcp.SerializeTo(nil, make([]byte, 1340)))
-	tun := (&pkt.GTPv1U{MessageType: pkt.GTPMsgGPDU, TEID: 77}).SerializeTo(nil, inner)
-	seg = (&pkt.UDP{SrcPort: 31000, DstPort: pkt.PortGTPU}).SerializeTo(nil, tun)
-	data := (&pkt.IPv4{TTL: 64, Protocol: pkt.IPProtoUDP, SrcIP: gtpsim.CoreGW, DstIP: gtpsim.AccessGW}).SerializeTo(nil, seg)
-	return p, data
+	p.HandleFrame(timeseries.StudyStart, probetest.ControlFrame(pkt.GTPv2MsgCreateSessionRequest, 77,
+		pkt.ULI{AreaCode: cell.AreaCode, CellID: cell.ID}))
+	return p, probetest.DownlinkFrame(77, 1340)
 }
 
 // TestHandleFrameSteadyStateAllocs pins the probe's zero-allocation
 // hot path: once a flow is classified and its accumulators exist,
 // accounting a further data frame of that flow allocates nothing —
 // decode, direction, ULI lookup, DPI memo hit, byte accounting and
-// time binning are all in-place. Budget: exactly zero, so any future
+// observation hand-off are all in-place. Budget: exactly zero, so any future
 // per-frame garbage fails loudly.
 func TestHandleFrameSteadyStateAllocs(t *testing.T) {
 	p, data := allocProbe(t)
 	at := timeseries.StudyStart.Add(time.Hour)
-	// Warm-up: classifies the flow, creates the series and commune
-	// accumulators.
+	// Warm-up: classifies the flow.
 	p.HandleFrame(at, data)
 	allocs := testing.AllocsPerRun(200, func() {
 		p.HandleFrame(at, data)
@@ -66,7 +53,7 @@ func TestHandleFrameSteadyStateAllocs(t *testing.T) {
 
 // TestHandleFrameAmortizedAllocs bounds the amortized cost including
 // cold starts: replaying the same capture into a fresh probe twice,
-// the second pass (every flow cached, every accumulator grown) must
+// the second pass (every flow and tunnel cached) must
 // stay allocation-free even across many distinct flows and services.
 func TestHandleFrameAmortizedAllocs(t *testing.T) {
 	country := geo.Generate(geo.SmallConfig())
@@ -78,16 +65,16 @@ func TestHandleFrameAmortizedAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	frames, _ := sim.Run()
-	p := New(ConfigFor(country), sim.Cells, dpi.NewClassifier(catalog))
+	p := probe.New(probe.DefaultConfig(), sim.Cells, dpi.NewClassifier(catalog))
 	feed := func() {
 		for _, f := range frames {
 			p.HandleFrame(f.Time, f.Data)
 		}
 	}
-	feed() // cold pass: builds flows, tunnels, series
+	feed() // cold pass: builds flows and tunnels
 	allocs := testing.AllocsPerRun(3, feed)
 	perFrame := allocs / float64(len(frames))
-	// The warm replay re-walks every flow and bin; nothing new should
+	// The warm replay re-walks every flow; nothing new should
 	// be created. A tiny budget absorbs map-internals noise.
 	if perFrame > 0.01 {
 		t.Errorf("warm replay allocates %.4f objects/frame over %d frames, want <= 0.01", perFrame, len(frames))

@@ -1,4 +1,4 @@
-package probe
+package probe_test
 
 import (
 	"testing"
@@ -9,6 +9,7 @@ import (
 	"repro/internal/geo"
 	"repro/internal/gtpsim"
 	"repro/internal/obs"
+	"repro/internal/probe"
 	"repro/internal/services"
 	"repro/internal/timeseries"
 )
@@ -35,8 +36,8 @@ func TestPipelineMetricsConservation(t *testing.T) {
 
 	const shards = 3
 	reg := obs.NewRegistry()
-	pm := NewMetrics(reg, shards)
-	pl := NewPipeline(ConfigFor(country), sim.Cells, dpi.NewClassifier(catalog), shards).WithMetrics(pm)
+	pm := probe.NewMetrics(reg, shards)
+	pl := probe.NewPipeline(probe.DefaultConfig(), sim.Cells, dpi.NewClassifier(catalog), shards).WithMetrics(pm)
 	src := capture.NewCountingSource(capture.NewSliceSource(frames), reg)
 	rep, err := pl.Run(src)
 	if err != nil {
@@ -86,8 +87,8 @@ func TestPipelineMetricsConservation(t *testing.T) {
 func TestHandleFrameSteadyStateAllocsInstrumented(t *testing.T) {
 	p, data := allocProbe(t)
 	reg := obs.NewRegistry()
-	m := NewMetrics(reg, 1)
-	mine := m.shard(0)
+	m := probe.NewMetrics(reg, 1)
+	mine := m.ShardFrames[0]
 	at := timeseries.StudyStart.Add(time.Hour)
 	p.HandleFrame(at, data)
 	allocs := testing.AllocsPerRun(200, func() {

@@ -3,21 +3,16 @@ package probe
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"io"
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/capture"
 	"repro/internal/dpi"
-	"repro/internal/geo"
 	"repro/internal/gtpsim"
 	"repro/internal/obs"
 	"repro/internal/pkt"
-	"repro/internal/services"
-	"repro/internal/timeseries"
 )
 
 // Pipeline scales the probe across cores the way production passive
@@ -38,12 +33,13 @@ import (
 // stage no longer bounds multi-core scaling. Batches and arenas
 // recycle through a sync.Pool; steady-state routing allocates nothing.
 //
-// The shard reports combine exactly (see Report.Merge): all byte
-// accounting sums integer-valued packet lengths, and each frame's
-// contribution depends only on the state of its own tunnel and flow,
-// which is totally ordered within its shard. A Pipeline run over any
-// frame order that preserves per-tunnel order therefore produces a
-// report identical to a single probe consuming the same capture.
+// Each frame's contribution depends only on the state of its own
+// tunnel and flow, which is totally ordered within its shard. A
+// Pipeline run over any frame order that preserves per-tunnel order
+// therefore emits the same observations as a single probe consuming
+// the same capture, and its merged report (see Report.Merge) equals
+// that probe's: all byte accounting sums integer-valued packet
+// lengths.
 type Pipeline struct {
 	cfg        Config
 	registry   *gtpsim.CellRegistry
@@ -55,8 +51,8 @@ type Pipeline struct {
 
 // NewPipeline builds a pipeline with the given shard count; shards <= 0
 // selects runtime.NumCPU(). The registry and classifier are shared
-// read-only across shards; each shard owns its parser, flow cache and
-// report.
+// read-only across shards; each shard owns its parser, flow cache,
+// tunnel state and report.
 func NewPipeline(cfg Config, registry *gtpsim.CellRegistry, classifier *dpi.Classifier, shards int) *Pipeline {
 	if shards <= 0 {
 		shards = runtime.NumCPU()
@@ -250,9 +246,7 @@ func (pl *Pipeline) Run(src capture.Source) (*Report, error) {
 
 	merged := probes[0].Report()
 	for _, p := range probes[1:] {
-		if err := merged.Merge(p.Report()); err != nil {
-			return merged, err
-		}
+		merged.Merge(p.Report())
 	}
 	return merged, srcErr
 }
@@ -316,92 +310,4 @@ func (rt *router) key(data []byte) (uint32, bool) {
 		return 0, false
 	}
 	return 0, false
-}
-
-// Merge folds the measurements of o into r, mutating r; o is left
-// untouched. Shard reports merge exactly: every total is a sum of
-// integer-valued per-frame contributions, so float accumulation order
-// cannot change the result. The reports must share an ID namespace
-// (shards built from one classifier always do) and series must share
-// r's binning (shards built from one Config always do); a mismatch
-// returns an error with r partially merged.
-func (r *Report) Merge(o *Report) error {
-	if r.Names != o.Names && !slices.Equal(r.Names.All(), o.Names.All()) {
-		return fmt.Errorf("probe: merging reports over different ID namespaces (%d vs %d services)",
-			r.Names.Len(), o.Names.Len())
-	}
-	if o.Communes > r.Communes {
-		// Commune spaces may differ in tail size; merge into the union
-		// and re-establish the dense-vector invariant (every non-nil
-		// vector has exactly Communes entries) for r's own services.
-		r.Communes = o.Communes
-		for d := services.Direction(0); d < services.NumDirections; d++ {
-			for svc, per := range r.SvcCommuneBytes[d] {
-				if per != nil && len(per) < r.Communes {
-					grown := make([]float64, r.Communes)
-					copy(grown, per)
-					r.SvcCommuneBytes[d][svc] = grown
-				}
-			}
-		}
-	}
-	for d := services.Direction(0); d < services.NumDirections; d++ {
-		r.TotalBytes[d] += o.TotalBytes[d]
-		r.ClassifiedBytes[d] += o.ClassifiedBytes[d]
-		for svc, v := range o.SvcBytes[d] {
-			r.SvcBytes[d][svc] += v
-		}
-		for svc, per := range o.SvcCommuneBytes[d] {
-			if per == nil {
-				continue
-			}
-			dst := r.SvcCommuneBytes[d][svc]
-			if len(dst) < r.Communes || len(dst) < len(per) {
-				grown := make([]float64, max(r.Communes, len(per)))
-				copy(grown, dst)
-				dst = grown
-				r.SvcCommuneBytes[d][svc] = dst
-			}
-			for commune, v := range per {
-				dst[commune] += v
-			}
-		}
-		for svc, s := range o.SvcSeries[d] {
-			if s == nil {
-				continue
-			}
-			if cur := r.SvcSeries[d][svc]; cur != nil {
-				if err := cur.Add(s); err != nil {
-					return fmt.Errorf("probe: merging %v series of %s: %w", d, o.Names.Name(services.ID(svc)), err)
-				}
-			} else {
-				r.SvcSeries[d][svc] = s.Clone()
-			}
-		}
-		for svc, cls := range o.SvcClassSeries[d] {
-			if cls == nil {
-				continue
-			}
-			cur := r.SvcClassSeries[d][svc]
-			if cur == nil {
-				cur = new([geo.NumUrbanization]*timeseries.Series)
-				for u := range cur {
-					cur[u] = cls[u].Clone()
-				}
-				r.SvcClassSeries[d][svc] = cur
-				continue
-			}
-			for u := range cur {
-				if err := cur[u].Add(cls[u]); err != nil {
-					return fmt.Errorf("probe: merging %v class series of %s: %w", d, o.Names.Name(services.ID(svc)), err)
-				}
-			}
-		}
-	}
-	r.DecodeErrors += o.DecodeErrors
-	r.UnknownTEID += o.UnknownTEID
-	r.UnknownCell += o.UnknownCell
-	r.ControlMessages += o.ControlMessages
-	r.UserPlanePackets += o.UserPlanePackets
-	return nil
 }

@@ -1,4 +1,4 @@
-package probe
+package probe_test
 
 import (
 	"bytes"
@@ -11,6 +11,8 @@ import (
 	"repro/internal/dpi"
 	"repro/internal/geo"
 	"repro/internal/gtpsim"
+	"repro/internal/probe"
+	"repro/internal/probe/probetest"
 	"repro/internal/services"
 	"repro/internal/timeseries"
 )
@@ -32,7 +34,7 @@ func shardSweep() []int {
 
 // diffReports reports the first field where two reports disagree, in a
 // form small enough to read in a test log.
-func diffReports(t *testing.T, want, got *Report) {
+func diffReports(t *testing.T, want, got *probe.Report) {
 	t.Helper()
 	for d := services.Direction(0); d < services.NumDirections; d++ {
 		if want.TotalBytes[d] != got.TotalBytes[d] {
@@ -70,11 +72,29 @@ func diffReports(t *testing.T, want, got *Report) {
 	}
 }
 
+// runReferenced runs src through a pipeline of the given shard count
+// with one reference sink shared by every shard, and returns the live
+// (scalar) report and the reference's full report.
+func runReferenced(t *testing.T, country *geo.Country, cells *gtpsim.CellRegistry, shards int, src capture.Source) (live, full *probe.Report) {
+	t.Helper()
+	cls := dpi.NewClassifier(services.Catalog())
+	ref := probetest.NewReference(probe.DefaultConfig(), country, cls.Names())
+	pl := probe.NewPipeline(probe.DefaultConfig(), cells, cls, shards).
+		WithSinks(func(int) probe.Sink { return ref })
+	live, err := pl.Run(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return live, ref.Report(live)
+}
+
 // TestStreamingMatchesMaterializedReport is the conformance contract
-// of the redesign: a gtpsim run consumed via capture.Source through
-// the sharded pipeline must produce a report identical to the legacy
-// materialized []Frame path through a single probe — at every shard
-// count. Identity is exact (reflect.DeepEqual over every float),
+// of the sharded pipeline: a gtpsim run consumed via capture.Source
+// through the pipeline must measure identically to the materialized
+// []Frame path through a single probe — at every shard count. Two
+// things must agree exactly: the live reports (totals and counters),
+// and the full per-service reports a reference sink builds from each
+// run's observation stream (reflect.DeepEqual over every float),
 // because all accounting sums integer-valued byte counts and the
 // router keeps per-tunnel state shard-local.
 func TestStreamingMatchesMaterializedReport(t *testing.T) {
@@ -83,18 +103,21 @@ func TestStreamingMatchesMaterializedReport(t *testing.T) {
 	cfg := gtpsim.DefaultConfig()
 	cfg.Sessions = 600
 
-	// Legacy path: materialize the whole capture, consume on one
-	// goroutine.
+	// Materialized path: the whole capture, consumed on one goroutine.
 	sim, err := gtpsim.New(country, catalog, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	frames, _ := sim.Run()
-	legacy := New(ConfigFor(country), sim.Cells, dpi.NewClassifier(catalog))
+	cls := dpi.NewClassifier(catalog)
+	ref := probetest.NewReference(probe.DefaultConfig(), country, cls.Names())
+	single := probe.New(probe.DefaultConfig(), sim.Cells, cls)
+	single.SetSink(ref)
 	for _, f := range frames {
-		legacy.HandleFrame(f.Time, f.Data)
+		single.HandleFrame(f.Time, f.Data)
 	}
-	want := legacy.Report()
+	wantLive := *single.Report()
+	want := ref.Report(&wantLive)
 
 	for _, shards := range shardSweep() {
 		t.Run(fmt.Sprintf("shards-%d", shards), func(t *testing.T) {
@@ -104,14 +127,14 @@ func TestStreamingMatchesMaterializedReport(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			pl := NewPipeline(ConfigFor(country), sim2.Cells, dpi.NewClassifier(catalog), shards)
-			got, err := pl.Run(sim2.Stream())
-			if err != nil {
-				t.Fatal(err)
+			live, got := runReferenced(t, country, sim2.Cells, shards, sim2.Stream())
+			if !reflect.DeepEqual(&wantLive, live) {
+				diffReports(t, &wantLive, live)
+				t.Fatal("streamed/sharded totals differ from the single probe's")
 			}
 			if !reflect.DeepEqual(want, got) {
 				diffReports(t, want, got)
-				t.Fatal("streamed/sharded report differs from the materialized single-probe report")
+				t.Fatal("streamed/sharded observations differ from the materialized single-probe ones")
 			}
 		})
 	}
@@ -143,22 +166,16 @@ func TestPipelineTraceReplayMatchesLive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	live, err := NewPipeline(ConfigFor(country), sim2.Cells, dpi.NewClassifier(catalog), 2).Run(sim2.Stream())
-	if err != nil {
-		t.Fatal(err)
-	}
+	liveTotals, live := runReferenced(t, country, sim2.Cells, 2, sim2.Stream())
 
 	rd, err := capture.NewReader(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	replayed, err := NewPipeline(ConfigFor(country), sim.Cells, dpi.NewClassifier(catalog), 2).Run(rd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(live, replayed) {
+	replayedTotals, replayed := runReferenced(t, country, sim.Cells, 2, rd)
+	if !reflect.DeepEqual(liveTotals, replayedTotals) || !reflect.DeepEqual(live, replayed) {
 		diffReports(t, live, replayed)
-		t.Fatal("trace replay report differs from the live stream report")
+		t.Fatal("trace replay measures differently from the live stream")
 	}
 }
 
@@ -172,7 +189,7 @@ func TestPipelineUnroutableFramesCounted(t *testing.T) {
 		{Time: timeseries.StudyStart, Data: []byte{0xde, 0xad}},
 		{Time: timeseries.StudyStart, Data: make([]byte, 40)},
 	}
-	pl := NewPipeline(DefaultConfig(), cells, dpi.NewClassifier(services.Catalog()), 4)
+	pl := probe.NewPipeline(probe.DefaultConfig(), cells, dpi.NewClassifier(services.Catalog()), 4)
 	rep, err := pl.Run(capture.NewSliceSource(frames))
 	if err != nil {
 		t.Fatal(err)
@@ -185,77 +202,8 @@ func TestPipelineUnroutableFramesCounted(t *testing.T) {
 // TestPipelineDefaultShards pins the shards<=0 → NumCPU default.
 func TestPipelineDefaultShards(t *testing.T) {
 	country := geo.Generate(geo.SmallConfig())
-	pl := NewPipeline(DefaultConfig(), gtpsim.BuildCells(country, 1), dpi.NewClassifier(services.Catalog()), 0)
+	pl := probe.NewPipeline(probe.DefaultConfig(), gtpsim.BuildCells(country, 1), dpi.NewClassifier(services.Catalog()), 0)
 	if pl.Shards() != runtime.NumCPU() {
 		t.Errorf("Shards() = %d, want NumCPU = %d", pl.Shards(), runtime.NumCPU())
-	}
-}
-
-// TestMergeRejectsMisalignedSeries pins the Merge error contract on
-// reports binned differently.
-func TestMergeRejectsMisalignedSeries(t *testing.T) {
-	names := services.NewNames([]string{"YouTube"})
-	yt, _ := names.Lookup("YouTube")
-	mk := func(step int) *Report {
-		rep := NewReport(names, 0)
-		rep.SvcSeries[DL][yt] = timeseries.New(timeseries.StudyStart, timeseries.DefaultStep*2, step)
-		return rep
-	}
-	a, b := mk(10), mk(20)
-	if err := a.Merge(b); err == nil {
-		t.Error("merge of misaligned series succeeded")
-	}
-	// Aligned reports merge, and values sum.
-	c, d := mk(10), mk(10)
-	c.SvcSeries[DL][yt].Values[3] = 5
-	d.SvcSeries[DL][yt].Values[3] = 7
-	d.UserPlanePackets = 2
-	if err := c.Merge(d); err != nil {
-		t.Fatal(err)
-	}
-	if got := c.SvcSeries[DL][yt].Values[3]; got != 12 {
-		t.Errorf("merged sample = %v, want 12", got)
-	}
-	if c.UserPlanePackets != 2 {
-		t.Errorf("merged UserPlanePackets = %d, want 2", c.UserPlanePackets)
-	}
-	// Merge must not alias the source's series.
-	d.SvcSeries[DL][yt].Values[4] = 99
-	e := mk(10)
-	if err := e.Merge(d); err != nil {
-		t.Fatal(err)
-	}
-	d.SvcSeries[DL][yt].Values[4] = 1
-	if e.SvcSeries[DL][yt].Values[4] != 99 {
-		t.Error("merged report aliases the source series")
-	}
-}
-
-// TestMergeGrowsCommuneSpace pins the dense-vector robustness: merging
-// a report over a larger commune space grows the destination's
-// vectors instead of indexing out of range (the map representation
-// accepted any commune key; the slices must too).
-func TestMergeGrowsCommuneSpace(t *testing.T) {
-	names := services.NewNames([]string{"YouTube"})
-	yt, _ := names.Lookup("YouTube")
-	small := NewReport(names, 2)
-	small.SvcCommuneBytes[DL][yt] = []float64{1, 2}
-	big := NewReport(names, 5)
-	big.SvcCommuneBytes[DL][yt] = []float64{0, 0, 0, 0, 7}
-	if err := small.Merge(big); err != nil {
-		t.Fatal(err)
-	}
-	got := small.SvcCommuneBytes[DL][yt]
-	want := []float64{1, 2, 0, 0, 7}
-	if len(got) != len(want) {
-		t.Fatalf("merged commune vector has %d entries, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("merged commune vector %v, want %v", got, want)
-		}
-	}
-	if small.Communes != 5 {
-		t.Errorf("merged Communes = %d, want 5", small.Communes)
 	}
 }

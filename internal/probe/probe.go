@@ -1,19 +1,19 @@
 // Package probe implements the passive measurement pipeline of the
 // paper's Section 2: a tap on the Gn / S5-S8 interfaces that inspects
 // GTP-C to track User Location Information per tunnel, decodes GTP-U
-// to account user-plane traffic, classifies flows with DPI, and
-// aggregates bytes per (service, direction, commune, time bin).
+// to account user-plane traffic, classifies flows with DPI, and emits
+// one Observation per classified, geo-referenced packet.
 //
 // The probe never sees the simulator's ground truth — only raw frames.
-// The integration tests close the loop by comparing its report against
-// the generating distributions.
+// It keeps only what attributing a packet needs: per-tunnel geo state,
+// the DPI flow cache, per-direction byte totals and anomaly counters.
+// Every per-(service, direction, commune, time bin) aggregate is built
+// by the Sink attached to it — the rollup store's builder — and the
+// analysis reads them back from its cells (rollup.Partial.Report).
 //
 // The accounting hot path is steady-state allocation-free: services
 // are dense services.ID values from the classifier's interning table,
-// every per-service accumulator is an ID-indexed slice, and per-commune
-// volumes live in dense commune-indexed slices sized from the cell
-// registry. Names materialize only at the export boundary (see the
-// *Of accessors and measured.FromProbe).
+// and an observation is a value handed to the sink.
 package probe
 
 import (
@@ -38,16 +38,12 @@ type Config struct {
 	// AccessGW and CoreGW identify the interface sides: frames from
 	// AccessGW to CoreGW are uplink, the reverse downlink.
 	AccessGW, CoreGW [4]byte
-	// Start and Step define the time binning of the measured series.
+	// Start, Step and Bins define the time grid the probe's sinks
+	// aggregate on (rollup.ConfigFrom reads them); the probe itself
+	// bins nothing.
 	Start time.Time
 	Step  time.Duration
 	Bins  int
-	// CommuneClasses optionally maps a commune ID to its urbanization
-	// class (the operator's land-use registry). When set, the probe
-	// additionally bins classified traffic into per-class time series
-	// (Report.SvcClassSeries), the group aggregate the analysis API
-	// consumes for the Fig. 11 urbanization study.
-	CommuneClasses []geo.Urbanization
 }
 
 // DefaultConfig bins the study week at 15-minute resolution.
@@ -61,25 +57,19 @@ func DefaultConfig() Config {
 	}
 }
 
-// ConfigFor returns DefaultConfig extended with the commune-to-class
-// registry of the given country, enabling per-class measurement.
-func ConfigFor(country *geo.Country) Config {
-	cfg := DefaultConfig()
-	cfg.CommuneClasses = make([]geo.Urbanization, len(country.Communes))
-	for i := range country.Communes {
-		cfg.CommuneClasses[i] = country.Communes[i].Urbanization
-	}
-	return cfg
-}
+// ConfigFor returns DefaultConfig(). Per-urbanization-class
+// aggregates come from rollup cells, so a probe needs nothing of the
+// country; the signature stays for callers that configure per country.
+func ConfigFor(*geo.Country) Config { return DefaultConfig() }
 
 // Observation is one classified, geo-referenced accounting event: the
 // probe attributed Bytes of user-plane traffic to a service, a
 // direction and the commune of the tunnel's latest ULI fix, observed
-// at the given capture timestamp. Observations are emitted exactly
-// when Report.SvcCommuneBytes is incremented, so a Sink sees the same
-// event stream that builds the report — including traffic outside the
-// configured time binning, which the report counts in SvcBytes but not
-// in any series.
+// at the given capture timestamp. The probe emits exactly one per
+// packet it adds to Report.ClassifiedBytes, so the observation stream
+// carries every classified byte once — including traffic outside the
+// configured time grid, which sinks must keep (the rollup builder's
+// overflow epoch) rather than drop.
 type Observation struct {
 	At time.Time
 	// Dir and Svc key the accounting cell; Svc is the dense ID sinks
@@ -95,21 +85,25 @@ type Observation struct {
 
 // Sink consumes the probe's classified observations online, as frames
 // flow — the hook the rollup store hangs its per-(service, commune,
-// bin) accumulators on. A sink is owned by exactly one probe instance
-// and is never called concurrently; in a sharded pipeline each shard
-// gets its own sink (see Pipeline.WithSinks).
+// bin) accumulators on. A sink is called on the goroutine of the probe
+// it is attached to. In a sharded pipeline each shard gets the sink
+// its factory returns for it (see Pipeline.WithSinks); a sink handed
+// to several shards is called concurrently and must synchronize.
 type Sink interface {
 	Observe(Observation)
 }
 
-// Report is the probe's measurement output. Every per-service field
-// is a slice indexed by services.ID in the Names table; per-commune
-// volumes are dense slices of Communes entries. Slots stay nil (or
-// zero) for services the probe never classified, so equality between
-// two reports over the same namespace is plain reflect.DeepEqual.
+// Report is the probe's measurement output. A live probe fills only
+// the scalar fields — per-direction totals and the anomaly counters —
+// and leaves every per-service field nil. Re-constructors that hold
+// per-cell aggregates (rollup.Partial.Report) fill the rest: every
+// per-service field is then a slice indexed by services.ID in the
+// Names table, and per-commune volumes are dense slices of Communes
+// entries. Slots stay nil (or zero) for services that carried nothing,
+// so equality between two reports over the same namespace is plain
+// reflect.DeepEqual.
 type Report struct {
-	// Names is the ID namespace every Svc* slice is indexed by — the
-	// classifier's interning table on the live path.
+	// Names is the ID namespace every Svc* slice is indexed by.
 	Names *services.Names
 	// Communes is the size of the commune ID space (dense per-commune
 	// slices have exactly this length).
@@ -117,17 +111,17 @@ type Report struct {
 	// TotalBytes and ClassifiedBytes per direction.
 	TotalBytes      [services.NumDirections]float64
 	ClassifiedBytes [services.NumDirections]float64
-	// SvcBytes accumulates volume per classified service.
+	// SvcBytes holds the classified volume per service.
 	SvcBytes [services.NumDirections][]float64
-	// SvcCommuneBytes accumulates volume per service per commune; the
-	// inner slice is nil until the service carries classified traffic
-	// in that direction.
+	// SvcCommuneBytes holds the volume per service per commune; the
+	// inner slice is nil when the service carried nothing in that
+	// direction.
 	SvcCommuneBytes [services.NumDirections][][]float64
-	// SvcSeries holds the measured national time series per service
-	// (nil for unobserved services).
+	// SvcSeries holds the national time series per service (nil for
+	// unobserved services).
 	SvcSeries [services.NumDirections][]*timeseries.Series
-	// SvcClassSeries holds the measured per-urbanization-class series
-	// per service. Only populated when Config.CommuneClasses is set.
+	// SvcClassSeries holds the per-urbanization-class series per
+	// service (nil for unobserved services).
 	SvcClassSeries [services.NumDirections][]*[geo.NumUrbanization]*timeseries.Series
 	// Error and anomaly counters.
 	DecodeErrors     int
@@ -139,8 +133,7 @@ type Report struct {
 
 // NewReport returns an empty report over the given ID namespace and
 // commune space: every ID-indexed slice is allocated, every slot
-// empty. This is the shape New starts from and external
-// re-constructors (the rollup store) fill in.
+// empty — the shape re-constructors (the rollup store) fill in.
 func NewReport(names *services.Names, communes int) *Report {
 	rep := &Report{Names: names, Communes: communes}
 	n := names.Len()
@@ -163,47 +156,65 @@ func (r *Report) ClassificationRate() float64 {
 	return (r.ClassifiedBytes[DL] + r.ClassifiedBytes[UL]) / total
 }
 
+// Merge adds o's totals and counters into r. Shard reports merge
+// exactly: every total is a sum of integer-valued per-frame
+// contributions, so accumulation order cannot change the result.
+func (r *Report) Merge(o *Report) {
+	for d := 0; d < services.NumDirections; d++ {
+		r.TotalBytes[d] += o.TotalBytes[d]
+		r.ClassifiedBytes[d] += o.ClassifiedBytes[d]
+	}
+	r.DecodeErrors += o.DecodeErrors
+	r.UnknownTEID += o.UnknownTEID
+	r.UnknownCell += o.UnknownCell
+	r.ControlMessages += o.ControlMessages
+	r.UserPlanePackets += o.UserPlanePackets
+}
+
 // --- export-boundary accessors ---------------------------------------
 //
 // The analysis layer addresses services by name; these accessors do
-// the one name→ID hop so no consumer re-implements the indexing.
+// the one name→ID hop so no consumer re-implements the indexing. On a
+// report without per-service data (a live probe's) they return zero
+// values.
+
+// slotOf returns the named service's entry of an ID-indexed field, or
+// the zero value when the name is outside the namespace or the field
+// is not populated.
+func slotOf[T any](r *Report, field []T, name string) T {
+	var zero T
+	if r.Names == nil {
+		return zero
+	}
+	if id, ok := r.Names.Lookup(name); ok && int(id) < len(field) {
+		return field[id]
+	}
+	return zero
+}
 
 // BytesOf returns the classified volume of the named service (0 when
 // the name is outside the namespace or carried nothing).
 func (r *Report) BytesOf(dir services.Direction, name string) float64 {
-	if id, ok := r.Names.Lookup(name); ok {
-		return r.SvcBytes[dir][id]
-	}
-	return 0
+	return slotOf(r, r.SvcBytes[dir], name)
 }
 
 // SeriesOf returns the national series of the named service, nil when
 // unobserved.
 func (r *Report) SeriesOf(dir services.Direction, name string) *timeseries.Series {
-	if id, ok := r.Names.Lookup(name); ok {
-		return r.SvcSeries[dir][id]
-	}
-	return nil
+	return slotOf(r, r.SvcSeries[dir], name)
 }
 
 // CommuneBytesOf returns the dense per-commune volumes of the named
-// service, nil when unobserved. The slice is the live accumulator:
-// callers must not mutate it.
+// service, nil when unobserved. The slice is the report's own: callers
+// must not mutate it.
 func (r *Report) CommuneBytesOf(dir services.Direction, name string) []float64 {
-	if id, ok := r.Names.Lookup(name); ok {
-		return r.SvcCommuneBytes[dir][id]
-	}
-	return nil
+	return slotOf(r, r.SvcCommuneBytes[dir], name)
 }
 
 // ClassSeriesOf returns the per-urbanization-class series of the named
-// service, nil when unobserved or when the probe ran without a
-// commune-class registry.
+// service, nil when unobserved.
 func (r *Report) ClassSeriesOf(dir services.Direction, name string) *[geo.NumUrbanization]*timeseries.Series {
-	if id, ok := r.Names.Lookup(name); ok {
-		return r.SvcClassSeries[dir][id]
-	}
-	return nil
+	return slotOf(r, r.SvcClassSeries[dir], name)
 }
 
 // Probe is the stateful frame consumer.
@@ -219,76 +230,21 @@ type Probe struct {
 	teidCommune map[uint32]int
 	report      *Report
 	sink        Sink
-
-	// Lazy-accumulator slabs: per-service series and per-commune
-	// vectors are created on a service's first classified packet, and
-	// carving them out of chunked slabs turns ~2 allocations per
-	// (direction, service) slot into ~1 per chunk. The slabs are owned
-	// by the probe, never by the report, so report equality stays plain
-	// DeepEqual over the public fields. Chunks are fixed-capacity: once
-	// handed out, a chunk is never re-appended, so element pointers
-	// cannot dangle.
-	seriesSlab  []timeseries.Series
-	valuesSlab  []float64
-	communeSlab []float64
-}
-
-// seriesChunk is how many series (and values backings) one slab chunk
-// covers: both directions of a catalogue-sized service set.
-const seriesChunk = 2 * 20
-
-// newSeries carves one zeroed series from the slabs.
-func (p *Probe) newSeries() *timeseries.Series {
-	bins := p.cfg.Bins
-	if bins == 0 {
-		return timeseries.New(p.cfg.Start, p.cfg.Step, 0)
-	}
-	if len(p.seriesSlab) == cap(p.seriesSlab) {
-		p.seriesSlab = make([]timeseries.Series, 0, seriesChunk)
-	}
-	if cap(p.valuesSlab)-len(p.valuesSlab) < bins {
-		p.valuesSlab = make([]float64, 0, seriesChunk*bins)
-	}
-	vals := p.valuesSlab[len(p.valuesSlab) : len(p.valuesSlab)+bins : len(p.valuesSlab)+bins]
-	p.valuesSlab = p.valuesSlab[:len(p.valuesSlab)+bins]
-	p.seriesSlab = append(p.seriesSlab, timeseries.Series{Start: p.cfg.Start, Step: p.cfg.Step, Values: vals})
-	return &p.seriesSlab[len(p.seriesSlab)-1]
-}
-
-// newCommuneVec carves one zeroed dense commune vector from the slab.
-func (p *Probe) newCommuneVec() []float64 {
-	n := p.report.Communes
-	if n == 0 {
-		return make([]float64, 0)
-	}
-	if cap(p.communeSlab)-len(p.communeSlab) < n {
-		p.communeSlab = make([]float64, 0, seriesChunk*n)
-	}
-	vec := p.communeSlab[len(p.communeSlab) : len(p.communeSlab)+n : len(p.communeSlab)+n]
-	p.communeSlab = p.communeSlab[:len(p.communeSlab)+n]
-	return vec
 }
 
 // New builds a probe. The cell registry stands in for the operator's
-// cell-to-commune database; it also fixes the commune ID space the
-// report's dense per-commune accumulators cover.
+// cell-to-commune database.
 func New(cfg Config, registry *gtpsim.CellRegistry, classifier *dpi.Classifier) *Probe {
-	communes := 0
-	for i := range registry.Cells {
-		if c := registry.Cells[i].Commune; c >= communes {
-			communes = c + 1
-		}
-	}
 	return &Probe{
 		cfg:         cfg,
 		registry:    registry,
 		flows:       dpi.NewFlowCache(classifier),
 		teidCommune: map[uint32]int{},
-		report:      NewReport(classifier.Names(), communes),
+		report:      &Report{},
 	}
 }
 
-// Report returns the accumulated measurements.
+// Report returns the probe's totals and counters.
 func (p *Probe) Report() *Report { return p.report }
 
 // SetSink registers a sink receiving every classified observation the
@@ -416,54 +372,8 @@ func (p *Probe) maybeUserPlane(at time.Time) {
 	if res.ID == services.NoID {
 		return
 	}
-	svc := res.ID
 	p.report.ClassifiedBytes[dir] += bytes
-	p.report.SvcBytes[dir][svc] += bytes
 	if p.sink != nil {
-		p.sink.Observe(Observation{At: at, Dir: dir, Svc: svc, Service: res.Service, Commune: commune, Bytes: bytes})
+		p.sink.Observe(Observation{At: at, Dir: dir, Svc: res.ID, Service: res.Service, Commune: commune, Bytes: bytes})
 	}
-
-	perCommune := p.report.SvcCommuneBytes[dir][svc]
-	if perCommune == nil {
-		perCommune = p.newCommuneVec()
-		p.report.SvcCommuneBytes[dir][svc] = perCommune
-	}
-	perCommune[commune] += bytes
-
-	series := p.report.SvcSeries[dir][svc]
-	if series == nil {
-		series = p.newSeries()
-		p.report.SvcSeries[dir][svc] = series
-	}
-	if idx := series.IndexOf(at); idx >= 0 {
-		series.Values[idx] += bytes
-	}
-
-	if p.cfg.CommuneClasses != nil && commune < len(p.cfg.CommuneClasses) {
-		cls := p.report.SvcClassSeries[dir][svc]
-		if cls == nil {
-			cls = NewClassSeries(p.cfg.Start, p.cfg.Step, p.cfg.Bins)
-			p.report.SvcClassSeries[dir][svc] = cls
-		}
-		u := p.cfg.CommuneClasses[commune]
-		if idx := cls[u].IndexOf(at); idx >= 0 {
-			cls[u].Values[idx] += bytes
-		}
-	}
-}
-
-// NewClassSeries allocates the per-urbanization-class series block of
-// one (direction, service) slot in three allocations instead of
-// 2×NumUrbanization+1: one Series array, one shared Values backing,
-// one pointer array. Shared with the rollup store's report
-// reconstruction so both paths produce the same shape.
-func NewClassSeries(start time.Time, step time.Duration, bins int) *[geo.NumUrbanization]*timeseries.Series {
-	block := make([]timeseries.Series, geo.NumUrbanization)
-	values := make([]float64, geo.NumUrbanization*bins)
-	cls := new([geo.NumUrbanization]*timeseries.Series)
-	for u := range cls {
-		block[u] = timeseries.Series{Start: start, Step: step, Values: values[u*bins : (u+1)*bins : (u+1)*bins]}
-		cls[u] = &block[u]
-	}
-	return cls
 }

@@ -1,37 +1,64 @@
-package probe
+package probe_test
 
 import (
-	"fmt"
 	"math"
 	"math/rand/v2"
 	"testing"
 	"time"
 
-	"repro/internal/capture"
 	"repro/internal/dpi"
 	"repro/internal/geo"
 	"repro/internal/gtpsim"
 	"repro/internal/pkt"
+	"repro/internal/probe"
+	"repro/internal/probe/probetest"
+	"repro/internal/rollup"
 	"repro/internal/services"
 	"repro/internal/stats"
 	"repro/internal/timeseries"
 )
 
-// runPipeline simulates a workload and feeds it through a probe.
-func runPipeline(t *testing.T, cfg gtpsim.Config) (*gtpsim.Simulator, *gtpsim.Stats, *Report) {
+const (
+	DL = probe.DL
+	UL = probe.UL
+)
+
+// measure runs feed against a single probe with a rollup collector
+// attached — the production accounting path — and returns the full
+// report built from the sealed cells.
+func measure(t *testing.T, country *geo.Country, cells *gtpsim.CellRegistry, feed func(p *probe.Probe)) *probe.Report {
+	t.Helper()
+	cfg := probe.DefaultConfig()
+	p := probe.New(cfg, cells, dpi.NewClassifier(services.Catalog()))
+	col := rollup.NewCollector(rollup.ConfigFrom(cfg, geo.SmallConfig()), 1)
+	p.SetSink(col.Sink(0))
+	feed(p)
+	part, err := col.Finish(p.Report())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := part.Report(country)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
+
+// runPipeline simulates a workload and measures it.
+func runPipeline(t *testing.T, cfg gtpsim.Config) (*gtpsim.Simulator, *gtpsim.Stats, *probe.Report) {
 	t.Helper()
 	country := geo.Generate(geo.SmallConfig())
-	catalog := services.Catalog()
-	sim, err := gtpsim.New(country, catalog, cfg)
+	sim, err := gtpsim.New(country, services.Catalog(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	frames, truth := sim.Run()
-	p := New(DefaultConfig(), sim.Cells, dpi.NewClassifier(catalog))
-	for _, f := range frames {
-		p.HandleFrame(f.Time, f.Data)
-	}
-	return sim, truth, p.Report()
+	rep := measure(t, country, sim.Cells, func(p *probe.Probe) {
+		for _, f := range frames {
+			p.HandleFrame(f.Time, f.Data)
+		}
+	})
+	return sim, truth, rep
 }
 
 func TestPipelineNoDecodeErrors(t *testing.T) {
@@ -191,10 +218,7 @@ func TestHandoverRelocatesTraffic(t *testing.T) {
 	// to a cell in another commune, with traffic before and after. The
 	// probe must attribute the post-handover bytes to the new commune.
 	country := geo.Generate(geo.SmallConfig())
-	catalog := services.Catalog()
 	cells := gtpsim.BuildCells(country, 1)
-
-	p := New(DefaultConfig(), cells, dpi.NewClassifier(catalog))
 
 	cellA := &cells.Cells[0]
 	var cellB *gtpsim.Cell
@@ -208,30 +232,13 @@ func TestHandoverRelocatesTraffic(t *testing.T) {
 		t.Fatal("country has a single commune with cells")
 	}
 
-	mk := func(msgType uint8, uli pkt.ULI) []byte {
-		m := &pkt.GTPv2C{MessageType: msgType, TEID: 1, Sequence: 1,
-			DataTEID: 77, HasDataTEID: true, Location: uli, HasULI: true}
-		seg := (&pkt.UDP{SrcPort: 31000, DstPort: pkt.PortGTPC}).SerializeTo(nil, m.SerializeTo(nil, nil))
-		return (&pkt.IPv4{TTL: 64, Protocol: pkt.IPProtoUDP, SrcIP: gtpsim.AccessGW, DstIP: gtpsim.CoreGW}).SerializeTo(nil, seg)
-	}
-	data := func(size int) []byte {
-		ue := [4]byte{10, 0, 0, 1}
-		server := [4]byte{203, 1, 0, 1} // YouTube prefix
-		tcp := &pkt.TCP{SrcPort: 443, DstPort: 50000, Flags: pkt.TCPAck}
-		tcp.SetChecksumIPs(server, ue)
-		inner := (&pkt.IPv4{TTL: 60, Protocol: pkt.IPProtoTCP, SrcIP: server, DstIP: ue}).SerializeTo(nil, tcp.SerializeTo(nil, make([]byte, size)))
-		tun := (&pkt.GTPv1U{MessageType: pkt.GTPMsgGPDU, TEID: 77}).SerializeTo(nil, inner)
-		seg := (&pkt.UDP{SrcPort: 31000, DstPort: pkt.PortGTPU}).SerializeTo(nil, tun)
-		return (&pkt.IPv4{TTL: 64, Protocol: pkt.IPProtoUDP, SrcIP: gtpsim.CoreGW, DstIP: gtpsim.AccessGW}).SerializeTo(nil, seg)
-	}
-
 	t0 := timeseries.StudyStart.Add(time.Hour)
-	p.HandleFrame(t0, mk(pkt.GTPv2MsgCreateSessionRequest, pkt.ULI{AreaCode: cellA.AreaCode, CellID: cellA.ID}))
-	p.HandleFrame(t0.Add(time.Second), data(1000))
-	p.HandleFrame(t0.Add(2*time.Second), mk(pkt.GTPv2MsgModifyBearerRequest, pkt.ULI{AreaCode: cellB.AreaCode, CellID: cellB.ID}))
-	p.HandleFrame(t0.Add(3*time.Second), data(500))
-
-	rep := p.Report()
+	rep := measure(t, country, cells, func(p *probe.Probe) {
+		p.HandleFrame(t0, probetest.ControlFrame(pkt.GTPv2MsgCreateSessionRequest, 77, pkt.ULI{AreaCode: cellA.AreaCode, CellID: cellA.ID}))
+		p.HandleFrame(t0.Add(time.Second), probetest.DownlinkFrame(77, 1000))
+		p.HandleFrame(t0.Add(2*time.Second), probetest.ControlFrame(pkt.GTPv2MsgModifyBearerRequest, 77, pkt.ULI{AreaCode: cellB.AreaCode, CellID: cellB.ID}))
+		p.HandleFrame(t0.Add(3*time.Second), probetest.DownlinkFrame(77, 500))
+	})
 	per := rep.CommuneBytesOf(DL, "YouTube")
 	if per == nil {
 		t.Fatal("no YouTube commune bytes")
@@ -246,21 +253,12 @@ func TestHandoverRelocatesTraffic(t *testing.T) {
 
 func TestUnknownTEIDCounted(t *testing.T) {
 	country := geo.Generate(geo.SmallConfig())
-	catalog := services.Catalog()
 	cells := gtpsim.BuildCells(country, 1)
-	p := New(DefaultConfig(), cells, dpi.NewClassifier(catalog))
 
 	// A G-PDU for a TEID the probe never saw a Create for.
-	ue := [4]byte{10, 0, 0, 1}
-	server := [4]byte{203, 1, 0, 1}
-	tcp := &pkt.TCP{SrcPort: 443, DstPort: 50000, Flags: pkt.TCPAck}
-	inner := (&pkt.IPv4{TTL: 60, Protocol: pkt.IPProtoTCP, SrcIP: server, DstIP: ue}).SerializeTo(nil, tcp.SerializeTo(nil, make([]byte, 64)))
-	tun := (&pkt.GTPv1U{MessageType: pkt.GTPMsgGPDU, TEID: 9999}).SerializeTo(nil, inner)
-	seg := (&pkt.UDP{SrcPort: 31000, DstPort: pkt.PortGTPU}).SerializeTo(nil, tun)
-	frame := (&pkt.IPv4{TTL: 64, Protocol: pkt.IPProtoUDP, SrcIP: gtpsim.CoreGW, DstIP: gtpsim.AccessGW}).SerializeTo(nil, seg)
-
-	p.HandleFrame(timeseries.StudyStart, frame)
-	rep := p.Report()
+	rep := measure(t, country, cells, func(p *probe.Probe) {
+		p.HandleFrame(timeseries.StudyStart, probetest.DownlinkFrame(9999, 64))
+	})
 	if rep.UnknownTEID != 1 {
 		t.Errorf("UnknownTEID = %d, want 1", rep.UnknownTEID)
 	}
@@ -278,7 +276,7 @@ func TestUnknownTEIDCounted(t *testing.T) {
 func TestCorruptFramesCounted(t *testing.T) {
 	country := geo.Generate(geo.SmallConfig())
 	cells := gtpsim.BuildCells(country, 1)
-	p := New(DefaultConfig(), cells, dpi.NewClassifier(services.Catalog()))
+	p := probe.New(probe.DefaultConfig(), cells, dpi.NewClassifier(services.Catalog()))
 	p.HandleFrame(timeseries.StudyStart, []byte{0xde, 0xad})
 	p.HandleFrame(timeseries.StudyStart, make([]byte, 40)) // zeroed "IP packet"
 	if p.Report().DecodeErrors != 2 {
@@ -358,57 +356,13 @@ func TestDeterministicSimulation(t *testing.T) {
 	}
 }
 
-// BenchmarkProbePipeline sweeps the streaming pipeline over 1, 2 and
-// NumCPU shards on one pre-materialized capture; the shards=1 case is
-// the single-probe baseline plus routing overhead.
-func BenchmarkProbePipeline(b *testing.B) {
-	country := geo.Generate(geo.SmallConfig())
-	catalog := services.Catalog()
-	cfg := gtpsim.DefaultConfig()
-	cfg.Sessions = 500
-	sim, err := gtpsim.New(country, catalog, cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	frames, _ := sim.Run()
-	var totalBytes int64
-	for _, f := range frames {
-		totalBytes += int64(len(f.Data))
-	}
-	cls := dpi.NewClassifier(catalog)
-	for _, shards := range shardSweep() {
-		b.Run(fmt.Sprintf("shards-%d", shards), func(b *testing.B) {
-			b.ReportAllocs()
-			b.SetBytes(totalBytes)
-			for i := 0; i < b.N; i++ {
-				pl := NewPipeline(DefaultConfig(), sim.Cells, cls, shards)
-				if _, err := pl.Run(capture.NewSliceSource(frames)); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 func TestClassSeriesMeasured(t *testing.T) {
-	// With the commune-to-class registry configured, the probe bins
-	// classified traffic per urbanization class; class totals must
-	// reconcile exactly with the national series (same accounting
+	// Classified traffic is binned per urbanization class; class totals
+	// must reconcile exactly with the national series (same accounting
 	// conditions, different key).
-	country := geo.Generate(geo.SmallConfig())
-	catalog := services.Catalog()
 	cfg := gtpsim.DefaultConfig()
 	cfg.Sessions = 800
-	sim, err := gtpsim.New(country, catalog, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	frames, _ := sim.Run()
-	p := New(ConfigFor(country), sim.Cells, dpi.NewClassifier(catalog))
-	for _, f := range frames {
-		p.HandleFrame(f.Time, f.Data)
-	}
-	rep := p.Report()
+	_, _, rep := runPipeline(t, cfg)
 	populated := 0
 	for svc, cls := range rep.SvcClassSeries[DL] {
 		if cls == nil {
@@ -426,25 +380,14 @@ func TestClassSeriesMeasured(t *testing.T) {
 		}
 	}
 	if populated == 0 {
-		t.Fatal("no per-class series despite CommuneClasses")
-	}
-	// Without the registry the probe keeps its old behaviour.
-	p2 := New(DefaultConfig(), sim.Cells, dpi.NewClassifier(catalog))
-	for _, f := range frames {
-		p2.HandleFrame(f.Time, f.Data)
-	}
-	for _, cls := range p2.Report().SvcClassSeries[DL] {
-		if cls != nil {
-			t.Error("class series populated without CommuneClasses")
-			break
-		}
+		t.Fatal("no per-class series")
 	}
 }
 
 func TestUnknownCellCounted(t *testing.T) {
 	country := geo.Generate(geo.SmallConfig())
 	cells := gtpsim.BuildCells(country, 1)
-	p := New(DefaultConfig(), cells, dpi.NewClassifier(services.Catalog()))
+	p := probe.New(probe.DefaultConfig(), cells, dpi.NewClassifier(services.Catalog()))
 
 	// A Create Session whose ULI references a cell absent from the
 	// registry (e.g. a freshly deployed site the database lags behind).
@@ -473,7 +416,7 @@ func TestProbeSurvivesMutatedFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 	frames, _ := sim.Run()
-	p := New(DefaultConfig(), sim.Cells, dpi.NewClassifier(catalog))
+	p := probe.New(probe.DefaultConfig(), sim.Cells, dpi.NewClassifier(catalog))
 	rng := rand.New(rand.NewPCG(5, 6))
 	for _, f := range frames {
 		data := append([]byte(nil), f.Data...)

@@ -118,17 +118,3 @@ func Window(p *Partial, from, to int) (core.Dataset, error) {
 	}
 	return w.Dataset()
 }
-
-// OpenWindow loads a snapshot file and returns the [from, to) bin
-// window of it as a core.Dataset.
-func OpenWindow(path string, from, to int) (core.Dataset, error) {
-	p, err := ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	ds, err := Window(p, from, to)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return ds, nil
-}

@@ -4,6 +4,12 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/dpi"
+	"repro/internal/geo"
+	"repro/internal/gtpsim"
+	"repro/internal/pkt"
+	"repro/internal/probe"
+	"repro/internal/probe/probetest"
 	"repro/internal/services"
 )
 
@@ -60,4 +66,37 @@ func TestObserveAmortizedAllocs(t *testing.T) {
 		t.Errorf("mixed ingest allocates %.4f objects/event, want <= 0.02", perEvent)
 	}
 	_ = n
+}
+
+// TestProbeWithBuilderSteadyStateAllocs pins the production per-frame
+// accounting as one unit: a probe with a builder attached as its sink,
+// handling a further data frame of an established, classified tunnel,
+// allocates nothing — decode, DPI memo hit, totals, the observation
+// hand-off and the cell += together.
+func TestProbeWithBuilderSteadyStateAllocs(t *testing.T) {
+	country := geo.Generate(geo.SmallConfig())
+	cells := gtpsim.BuildCells(country, 1)
+	pcfg := probe.DefaultConfig()
+	cfg := ConfigFrom(pcfg, geo.SmallConfig())
+	cfg.Lateness = -1 // no sealing inside the measured loop
+	b := NewBuilder(cfg)
+	p := probe.New(pcfg, cells, dpi.NewClassifier(services.Catalog()))
+	p.SetSink(b)
+	cell := &cells.Cells[0]
+	at := pcfg.Start.Add(time.Hour)
+	p.HandleFrame(at, probetest.ControlFrame(pkt.GTPv2MsgCreateSessionRequest, 77,
+		pkt.ULI{AreaCode: cell.AreaCode, CellID: cell.ID}))
+	data := probetest.DownlinkFrame(77, 1340)
+	// Warm-up: classifies the flow, creates the epoch table and the
+	// cell slot.
+	p.HandleFrame(at, data)
+	allocs := testing.AllocsPerRun(200, func() {
+		p.HandleFrame(at, data)
+	})
+	if allocs != 0 {
+		t.Errorf("probe+builder allocates %.1f objects per steady-state frame, want 0", allocs)
+	}
+	if got := b.Seal().CellTotals()[services.DL]; got == 0 || got != p.Report().ClassifiedBytes[services.DL] {
+		t.Fatalf("builder cells hold %v DL bytes, probe classified %v", got, p.Report().ClassifiedBytes[services.DL])
+	}
 }

@@ -17,6 +17,7 @@ import (
 	"repro/internal/gtpsim"
 	"repro/internal/measured"
 	"repro/internal/probe"
+	"repro/internal/probe/probetest"
 	"repro/internal/rollup"
 	"repro/internal/services"
 	"repro/internal/timeseries"
@@ -45,29 +46,63 @@ func newFixture(t testing.TB, sessions int) *fixture {
 	return &fixture{country: country, catalog: catalog, cells: sim.Cells, frames: frames}
 }
 
-// run pushes the fixture's capture through the sharded pipeline,
-// optionally with a rollup collector attached, and returns the report
-// and (when collected) the sealed partial.
-func (fx *fixture) run(t testing.TB, shards int, collect bool) (*probe.Report, *rollup.Partial) {
+// run pushes the fixture's capture through the sharded pipeline with a
+// rollup collector attached and returns the sealed partial. With ref
+// set, a reference sink observes the same stream next to the
+// collector, and run also returns the full report it built.
+func (fx *fixture) run(t testing.TB, shards int, ref bool) (*rollup.Partial, *probe.Report) {
 	t.Helper()
-	pl := probe.NewPipeline(probe.ConfigFor(fx.country), fx.cells, dpi.NewClassifier(fx.catalog), shards)
-	var col *rollup.Collector
-	if collect {
-		col = rollup.NewCollector(rollup.ConfigFrom(probe.ConfigFor(fx.country), geo.SmallConfig()), pl.Shards())
-		pl.WithSinks(col.Sink)
+	pcfg := probe.DefaultConfig()
+	cls := dpi.NewClassifier(fx.catalog)
+	pl := probe.NewPipeline(pcfg, fx.cells, cls, shards)
+	col := rollup.NewCollector(rollup.ConfigFrom(pcfg, geo.SmallConfig()), pl.Shards())
+	sinks := col.Sink
+	var reference *probetest.Reference
+	if ref {
+		reference = probetest.NewReference(pcfg, fx.country, cls.Names())
+		sinks = func(i int) probe.Sink { return probetest.Tee(col.Sink(i), reference) }
 	}
-	rep, err := pl.Run(capture.NewSliceSource(fx.frames))
+	rep, err := pl.WithSinks(sinks).Run(capture.NewSliceSource(fx.frames))
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !collect {
-		return rep, nil
 	}
 	part, err := col.Finish(rep)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return rep, part
+	if !ref {
+		return part, nil
+	}
+	return part, reference.Report(rep)
+}
+
+// reference runs the fixture's capture through a single-shard pipeline
+// whose only sink is the reference accumulator, and returns the full
+// report it built: the rollup-free side of the identity oracles.
+func (fx *fixture) reference(t testing.TB) *probe.Report {
+	t.Helper()
+	pcfg := probe.DefaultConfig()
+	cls := dpi.NewClassifier(fx.catalog)
+	ref := probetest.NewReference(pcfg, fx.country, cls.Names())
+	rep, err := probe.NewPipeline(pcfg, fx.cells, cls, 1).
+		WithSinks(func(int) probe.Sink { return ref }).
+		Run(capture.NewSliceSource(fx.frames))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ref.Report(rep)
+}
+
+// referenceDataset materializes a reference report on the study-week
+// grid of probe.DefaultConfig.
+func referenceDataset(t testing.TB, rep *probe.Report, country *geo.Country, catalog []services.Service) *measured.Dataset {
+	t.Helper()
+	pcfg := probe.DefaultConfig()
+	ds, err := measured.FromProbeGrid(rep, country, catalog, pcfg.Start, pcfg.Step, pcfg.Bins)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ds
 }
 
 // engineJSON runs the Figs. 2-11 suite over a dataset and returns the
@@ -93,23 +128,21 @@ func engineJSON(t testing.TB, ds core.Dataset) []byte {
 
 // TestEndToEndIdentity is the acceptance gate of the rollup store: for
 // the same seed, the experiment-engine JSON produced via a snapshot
-// round trip of the online rollup is byte-identical to the legacy
-// measured.FromProbe path, at 1, 2 and NumCPU shards.
+// round trip of the online rollup is byte-identical to the reference
+// path — a report accumulated straight from the observation stream by
+// probetest.Reference, materialized by measured.FromProbeGrid — at 1,
+// 2 and NumCPU shards.
 func TestEndToEndIdentity(t *testing.T) {
 	fx := newFixture(t, 600)
 
-	// Legacy path: probe report materialized directly (shard count is
-	// already proven irrelevant for the report by the probe tests).
-	rep, _ := fx.run(t, 1, false)
-	legacy, err := measured.FromProbe(rep, fx.country, fx.catalog, timeseries.DefaultStep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacyJSON := engineJSON(t, legacy)
+	// Reference path: no rollup anywhere (shard count is already
+	// proven irrelevant for the observations by the probe tests).
+	reference := referenceDataset(t, fx.reference(t), fx.country, fx.catalog)
+	referenceJSON := engineJSON(t, reference)
 
 	var prevSnap []byte
 	for _, shards := range []int{1, 2, runtime.NumCPU()} {
-		_, part := fx.run(t, shards, true)
+		part, _ := fx.run(t, shards, false)
 
 		// Snapshot round trip: what the engine sees must have been
 		// through the persistent format.
@@ -132,12 +165,12 @@ func TestEndToEndIdentity(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Structural identity first: the materialized aggregates must
-		// be deep-equal to the legacy backend's.
-		if !reflect.DeepEqual(measured.Materialize(ds), measured.Materialize(legacy)) {
-			t.Fatalf("shards=%d: rollup dataset diverges from measured.FromProbe", shards)
+		// be deep-equal to the reference backend's.
+		if !reflect.DeepEqual(measured.Materialize(ds), measured.Materialize(reference)) {
+			t.Fatalf("shards=%d: rollup dataset diverges from the reference accumulation", shards)
 		}
-		if got := engineJSON(t, ds); !bytes.Equal(got, legacyJSON) {
-			t.Fatalf("shards=%d: engine JSON diverges between rollup.Open and measured.FromProbe", shards)
+		if got := engineJSON(t, ds); !bytes.Equal(got, referenceJSON) {
+			t.Fatalf("shards=%d: engine JSON diverges between rollup.Open and the reference accumulation", shards)
 		}
 	}
 
@@ -152,8 +185,8 @@ func TestEndToEndIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl := probe.NewPipeline(probe.ConfigFor(fx.country), sim.Cells, dpi.NewClassifier(fx.catalog), 5)
-	col := rollup.NewCollector(rollup.ConfigFrom(probe.ConfigFor(fx.country), geo.SmallConfig()), pl.Shards())
+	pl := probe.NewPipeline(probe.DefaultConfig(), sim.Cells, dpi.NewClassifier(fx.catalog), 5)
+	col := rollup.NewCollector(rollup.ConfigFrom(probe.DefaultConfig(), geo.SmallConfig()), pl.Shards())
 	rep2, err := pl.WithSinks(col.Sink).Run(sim.Stream())
 	if err != nil {
 		t.Fatal(err)
@@ -177,8 +210,8 @@ func TestEndToEndIdentity(t *testing.T) {
 // own probe pipeline on its own sub-grid, sealed into its own snapshot
 // — streams through rollup.MergeFiles into a snapshot byte-identical
 // to the one full-period run over the concatenated frames, and the
-// engine JSON of the merged snapshot matches the legacy
-// measured.FromProbe path of that full run.
+// engine JSON of the merged snapshot matches the reference
+// accumulation of that full run.
 func TestMultiDaySplitCaptureIdentity(t *testing.T) {
 	country := geo.Generate(geo.SmallConfig())
 	catalog := services.Catalog()
@@ -208,13 +241,18 @@ func TestMultiDaySplitCaptureIdentity(t *testing.T) {
 	frames2 := halfSim(half, weekBins)
 	cells := gtpsim.BuildCells(country, 11)
 
+	// runOn measures frames on a grid of bins from startBin, with a
+	// reference sink observing next to the collector.
 	runOn := func(frames []capture.Frame, startBin, bins int) (*probe.Report, *rollup.Partial) {
-		pcfg := probe.ConfigFor(country)
+		pcfg := probe.DefaultConfig()
 		pcfg.Start = timeseries.StudyStart.Add(time.Duration(startBin) * timeseries.DefaultStep)
 		pcfg.Bins = bins
-		pl := probe.NewPipeline(pcfg, cells, dpi.NewClassifier(catalog), 2)
+		cls := dpi.NewClassifier(catalog)
+		ref := probetest.NewReference(pcfg, country, cls.Names())
+		pl := probe.NewPipeline(pcfg, cells, cls, 2)
 		col := rollup.NewCollector(rollup.ConfigFrom(pcfg, geo.SmallConfig()), pl.Shards())
-		rep, err := pl.WithSinks(col.Sink).Run(capture.NewSliceSource(frames))
+		rep, err := pl.WithSinks(func(i int) probe.Sink { return probetest.Tee(col.Sink(i), ref) }).
+			Run(capture.NewSliceSource(frames))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -222,7 +260,7 @@ func TestMultiDaySplitCaptureIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return rep, part
+		return ref.Report(rep), part
 	}
 
 	// The full-period reference: one pipeline, one week grid, the
@@ -257,32 +295,30 @@ func TestMultiDaySplitCaptureIdentity(t *testing.T) {
 	}
 
 	// And the analysis cannot tell the difference: engine JSON off the
-	// merged snapshot equals the legacy measured path of the full run.
-	legacy, err := measured.FromProbe(fullRep, country, catalog, timeseries.DefaultStep)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// merged snapshot equals the reference accumulation of the full run.
+	reference := referenceDataset(t, fullRep, country, catalog)
 	mergedDS, err := rollup.Open(merged)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(engineJSON(t, mergedDS), engineJSON(t, legacy)) {
+	if !bytes.Equal(engineJSON(t, mergedDS), engineJSON(t, reference)) {
 		t.Fatal("engine JSON diverges between the merged split capture and the full-period run")
 	}
 }
 
 // TestReportReconstruction pins the stronger claim behind the identity
-// test: the report rebuilt from a sealed partial deep-equals the live
-// probe's, field for field.
+// test: the report built from a sealed partial deep-equals the one a
+// reference sink accumulated from the same observation stream, field
+// for field.
 func TestReportReconstruction(t *testing.T) {
 	fx := newFixture(t, 400)
-	rep, part := fx.run(t, 2, true)
+	part, want := fx.run(t, 2, true)
 	rebuilt, err := part.Report(fx.country)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(rebuilt, rep) {
-		t.Fatal("reconstructed report differs from the live probe report")
+	if !reflect.DeepEqual(rebuilt, want) {
+		t.Fatal("report built from cells differs from the reference accumulation")
 	}
 }
 
@@ -290,7 +326,7 @@ func TestReportReconstruction(t *testing.T) {
 // through the filesystem.
 func TestOpenFromFile(t *testing.T) {
 	fx := newFixture(t, 300)
-	_, part := fx.run(t, 2, true)
+	part, _ := fx.run(t, 2, false)
 	path := t.TempDir() + "/run.roll"
 	if err := rollup.WriteFile(path, part); err != nil {
 		t.Fatal(err)
@@ -318,7 +354,7 @@ func TestOpenFromFile(t *testing.T) {
 // Fig. 4's Monday panel needs bins 192-287 — never index past it.
 func TestFullRegistryOnShortWindow(t *testing.T) {
 	fx := newFixture(t, 600)
-	_, part := fx.run(t, 1, true)
+	part, _ := fx.run(t, 1, false)
 	ds, err := rollup.Window(part, 0, 192)
 	if err != nil {
 		t.Fatal(err)

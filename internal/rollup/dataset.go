@@ -2,6 +2,7 @@ package rollup
 
 import (
 	"fmt"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/geo"
@@ -11,24 +12,24 @@ import (
 	"repro/internal/timeseries"
 )
 
-// Report reconstructs the probe.Report the partial's cells distill:
+// Report builds the full probe.Report the partial's cells distill:
 // per-service volumes, per-commune accounting, national and
-// per-urbanization-class series, totals and counters. The
-// reconstruction is exact — every aggregate is a sum of integer-valued
-// per-frame contributions, so regrouping them per cell instead of per
-// frame produces bit-identical floats — which is what lets a snapshot
-// replace the live probe path without the analysis noticing.
+// per-urbanization-class series, totals and counters. This is the only
+// place per-service aggregates are built: a live probe keeps just the
+// totals and counters, and its observations reach the analysis as
+// cells. Every aggregate is a sum of integer-valued per-frame
+// contributions, so summing them per cell instead of per frame gives
+// bit-identical floats.
 func (p *Partial) Report(country *geo.Country) (*probe.Report, error) {
 	if p.Cfg.Geo.NumCommunes != 0 && len(country.Communes) != p.Cfg.Geo.NumCommunes {
 		return nil, fmt.Errorf("rollup: geography has %d communes, snapshot was built over %d",
 			len(country.Communes), p.Cfg.Geo.NumCommunes)
 	}
-	// The ID namespace of the reconstructed report is the default DPI
-	// catalogue — exactly the classifier namespace the live path ran
-	// under — extended with any snapshot-only names so no cell is
-	// dropped. For snapshots of catalogue traffic (every live run) the
-	// table is identical to the live classifier's, which is what makes
-	// the reconstruction DeepEqual the live report.
+	// The ID namespace of the report is the default DPI catalogue —
+	// exactly the classifier namespace the live path ran under —
+	// extended with any snapshot-only names so no cell is dropped. For
+	// snapshots of catalogue traffic (every live run) the table is
+	// identical to the live classifier's.
 	names := services.DefaultNames()
 	var extra []string
 	for _, name := range p.Services {
@@ -80,9 +81,9 @@ func (p *Partial) Report(country *geo.Country) (*probe.Report, error) {
 			}
 			perCommune[commune] += c.Bytes
 
-			// The probe creates a service's series on first classified
-			// packet even when the packet falls outside the binning, so
-			// mirror that here before the overflow check.
+			// A service's series exist once it carried any classified
+			// traffic in the direction, even if all of it fell outside
+			// the grid: create them before the overflow check.
 			series := rep.SvcSeries[dir][svc]
 			if series == nil {
 				series = timeseries.New(p.Cfg.Start, p.Cfg.Step, p.Cfg.Bins)
@@ -90,7 +91,7 @@ func (p *Partial) Report(country *geo.Country) (*probe.Report, error) {
 			}
 			cls := rep.SvcClassSeries[dir][svc]
 			if cls == nil {
-				cls = probe.NewClassSeries(p.Cfg.Start, p.Cfg.Step, p.Cfg.Bins)
+				cls = newClassSeries(p.Cfg.Start, p.Cfg.Step, p.Cfg.Bins)
 				rep.SvcClassSeries[dir][svc] = cls
 			}
 			if ep.Bin == OverflowBin {
@@ -105,9 +106,9 @@ func (p *Partial) Report(country *geo.Country) (*probe.Report, error) {
 
 // Dataset materializes the partial into the analysis API: the
 // geography is regenerated deterministically from the snapshot's geo
-// config, the report is reconstructed from the cells, and
-// measured.FromProbe — the exact code path the live pipeline uses —
-// maps it onto core.Dataset. The catalogue is the DPI catalogue, as in
+// config, the report is built from the cells, and
+// measured.FromProbeGrid maps it onto core.Dataset on the partial's
+// grid. The catalogue is the DPI catalogue, as in
 // the live path; services the snapshot never saw are dropped the same
 // way.
 func (p *Partial) Dataset() (core.Dataset, error) {
@@ -117,6 +118,21 @@ func (p *Partial) Dataset() (core.Dataset, error) {
 		return nil, err
 	}
 	return measured.FromProbeGrid(rep, country, services.Catalog(), p.Cfg.Start, p.Cfg.Step, p.Cfg.Bins)
+}
+
+// newClassSeries allocates the per-urbanization-class series block of
+// one (direction, service) slot in three allocations instead of
+// 2×NumUrbanization+1: one Series array, one shared Values backing,
+// one pointer array.
+func newClassSeries(start time.Time, step time.Duration, bins int) *[geo.NumUrbanization]*timeseries.Series {
+	block := make([]timeseries.Series, geo.NumUrbanization)
+	values := make([]float64, geo.NumUrbanization*bins)
+	cls := new([geo.NumUrbanization]*timeseries.Series)
+	for u := range cls {
+		block[u] = timeseries.Series{Start: start, Step: step, Values: values[u*bins : (u+1)*bins : (u+1)*bins]}
+		cls[u] = &block[u]
+	}
+	return cls
 }
 
 // Open loads a snapshot file and returns it as a core.Dataset, ready

@@ -27,7 +27,7 @@ func probesimSnapshot(tb testing.TB, sessions, shards int) []byte {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	pcfg := probe.ConfigFor(country)
+	pcfg := probe.DefaultConfig()
 	pl := probe.NewPipeline(pcfg, sim.Cells, dpi.NewClassifier(catalog), shards)
 	col := NewCollector(ConfigFrom(pcfg, geo.SmallConfig()), pl.Shards())
 	rep, err := pl.WithSinks(col.Sink).Run(sim.Stream())

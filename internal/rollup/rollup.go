@@ -29,8 +29,9 @@ import (
 
 // OverflowBin collects traffic observed outside the configured time
 // binning (before Start or past the last bin). The probe counts such
-// traffic in its volume totals but in no series; the overflow epoch
-// preserves it so a snapshot loses nothing relative to the report.
+// traffic in its classified totals; the overflow epoch keeps it in the
+// cells, so cell sums equal those totals and per-service volumes count
+// it while no series does.
 const OverflowBin = -1
 
 // DefaultLateness is the default sealing slack in bins: one hour at
